@@ -8,17 +8,21 @@ monotone functional).
 
 Exit codes are stable across commands: 0 when the checked property holds
 (or the computation succeeded for pure computations), 1 when the property
-fails, 2 on invalid input.  Reports are JSON on stdout (CSV for the flow
-commands) and include the tolerances used.  Set ``FRBL_LOG`` to a level
-name (debug, info, ...) for diagnostics on stderr.
+fails, 2 on invalid input, including a datum whose magnitudes overflow
+double precision.  Reports are strict JSON on stdout, with non-finite
+numbers as null (CSV for the flow commands), and include the tolerances
+used.  Set ``FRBL_LOG`` to a level name (debug, info, ...) for
+diagnostics on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -82,8 +86,19 @@ def _load_grids(path: str, need_f: bool = True):
     return f_grids, g_grids
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by ``None`` (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(val) for val in obj]
+    return obj
+
+
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -117,9 +132,19 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _in_range(fn, datum, **kwargs):
+    """Run a certification step; a datum whose magnitudes overflow double
+    precision on the way is an input error, not a verdict."""
+    try:
+        with np.errstate(over="raise"):
+            return fn(datum, **kwargs)
+    except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
+        raise InputError(f"datum out of numerical range: {exc}") from exc
+
+
 def _cmd_check(args) -> int:
     datum = _load_datum(args.datum)
-    cert = check_geometric(datum, tol=args.tol, max_iter=args.max_iter)
+    cert = _in_range(check_geometric, datum, tol=args.tol, max_iter=args.max_iter)
     report = {"tol": args.tol, "max_iter": args.max_iter, **cert.to_json()}
     _emit(report, args.out)
     return EXIT_OK if cert.verdict == "geometric" else EXIT_FAIL
@@ -127,7 +152,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_sigma(args) -> int:
     datum = _load_datum(args.datum)
-    result = find_sigma(datum, tol=args.tol, max_iter=args.max_iter)
+    result = _in_range(find_sigma, datum, tol=args.tol, max_iter=args.max_iter)
     report = {
         "tol": args.tol,
         "max_iter": args.max_iter,
@@ -322,10 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -306,3 +306,53 @@ class TestFlow:
         grids.write_text(json.dumps({"g": [grid_to_json(g)]}))
         assert main(["flow-monotone", pl_file, str(grids)]) == 2
         capsys.readouterr()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestContract:
+    @pytest.mark.parametrize("command", ["check", "sigma"])
+    def test_exhausted_budget_is_strict_json(self, pl_file, command, capsys):
+        assert main([command, pl_file, "--max-iter", "0"]) == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["reason"] == "max-iter"
+        assert report["residual_in"] is None and report["residual_out"] is None
+
+    @pytest.mark.parametrize("command", ["check", "sigma"])
+    def test_overflowing_datum_is_input_error(self, tmp_path, command, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "in_dims": [1, 1], "out_dims": [1], "c": [0.5, 0.5], "d": [1.0],
+            "Q": [[1e308, 1e308]],
+        }))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_commands_share_one_process(self, pl_file, tmp_path, capsys):
+        assert main(["check", pl_file]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "geometric"
+        grids = grids_file(tmp_path)
+        assert main(["flow-verify", pl_file, grids, "--times", "0.1"]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(captured.out.splitlines()))
+        assert rows[0] == ["t", "min_defect", "argmin_x1", "argmin_x2"]
+        assert float(rows[1][0]) == 0.1
+        assert "verdict: holds" in captured.err
+        broken = grids_file(tmp_path, name="broken.json", scale_f0=2.0)
+        assert main(["flow-verify", pl_file, broken, "--times", "0.1"]) == 1
+        assert "t=0" in capsys.readouterr().err
+        assert main(["check", pl_file, "--tol", "1e-9"]) == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == 1e-9
+
+    def test_precondition_outranks_failing_heat_step(self, pl_file, tmp_path, capsys):
+        # t = 1e4 is far beyond what the grid resolves, so its heat step raises
+        broken = grids_file(tmp_path, name="broken.json", scale_f0=2.0)
+        assert main(["flow-verify", pl_file, broken, "--times", "1e4"]) == 1
+        assert "t=0" in capsys.readouterr().err
+        grids = grids_file(tmp_path)
+        assert main(["flow-verify", pl_file, grids, "--times", "1e4"]) == 2
+        assert "truncation radius" in capsys.readouterr().err

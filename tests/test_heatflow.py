@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from frbl import heatflow
 from frbl.datum import make_datum
 from frbl.gaussian import CenteredGaussian, heat_evolve
 from frbl.heatflow import (
@@ -20,6 +21,8 @@ from frbl.heatflow import (
 )
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
+
+from _oracles import dense_verify_preservation
 
 I1 = SymMatrix([[1.0]])
 
@@ -303,3 +306,71 @@ class TestExtractConstant:
         zero = GridFunction(g.lo, g.hi, g.n, np.zeros(g.n))
         with pytest.raises(ValueError, match="underflow"):
             extract_constant(datum, [zero, g], [g], 1e3)
+
+
+def line3_inputs(n=21, g_half=12.0, g_points=481):
+    """Three one-axis factors into one line, ``f_i = exp(l_i - x^2)`` and
+    ``g = exp(m - y^2)`` with ``sum c_i l_i = m``: the relation holds by
+    Jensen's inequality, with equality on the diagonal."""
+    lam = np.array([0.5, 0.3, 0.2])
+    datum = make_datum((1, 1, 1), (1,), lam, (1.0,), [lam])
+    f_grids = [GridFunction.sample(lambda p, li=li: np.exp(li - p[:, 0] ** 2), [-6.0], [6.0], [n])
+               for li in (0.1, -0.2, 0.3)]
+    m = float(lam @ [0.1, -0.2, 0.3])
+    g = GridFunction.sample(lambda p: np.exp(m - p[:, 0] ** 2), [-g_half], [g_half], [g_points])
+    return datum, f_grids, [g]
+
+
+def _equivalence_cases():
+    g = gaussian_grid(n=101)
+    young, young_f, _ = young_bump_inputs(n=61)
+    narrow = [bump_1d(width=3.0, half=4.44, n=75) for _ in range(3)]
+    return {
+        "prekopa-leindler": (prekopa_leindler(0.5), [g, g], [g]),
+        "young-narrow": (young, young_f, narrow),
+        "line3": line3_inputs(),
+        "line3-narrow": line3_inputs(g_half=3.0, g_points=121),
+    }
+
+
+class TestChunkedScan:
+    """The chunked scan against the whole-grid oracle, with chunks that split rows."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(heatflow, "SCAN_CHUNK", 97)
+
+    @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+    def test_matches_dense_scan(self, case):
+        datum, f_grids, g_grids = _equivalence_cases()[case]
+        times = [0.0, 0.1, 0.5]
+        got = verify_preservation(datum, f_grids, g_grids, times, collect_fields=True)
+        want = dense_verify_preservation(datum, f_grids, g_grids, times, collect_fields=True)
+        n_total = math.prod(fg.values.size for fg in f_grids)
+        assert heatflow.SCAN_CHUNK < got.nodes_evaluated <= n_total
+        assert (got.nodes_evaluated < n_total) == case.endswith("narrow")
+        for name in ("times", "min_defect", "argmin", "thresholds", "nodes_evaluated", "holds"):
+            assert getattr(got, name) == getattr(want, name), name
+        for a, b in zip(got.fields, want.fields, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_precondition_nodes_match_dense_scan(self):
+        datum = prekopa_leindler(0.5)
+        g = gaussian_grid(n=101)
+        broken = GridFunction(g.lo, g.hi, g.n, 1.5 * g.values)
+        errors = []
+        for scan in (verify_preservation, dense_verify_preservation):
+            with pytest.raises(PreservationPreconditionError) as err:
+                scan(datum, [broken, g], [g], [0.1])
+            errors.append(err.value)
+        assert len(errors[0].nodes) > heatflow.SCAN_CHUNK
+        assert errors[0].nodes == errors[1].nodes
+        assert str(errors[0]) == str(errors[1])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in power")
+    def test_non_finite_defect_matches_dense_scan(self):
+        # a negative shift under fractional exponents makes the g side NaN
+        datum, f_grids, g_grids = _equivalence_cases()["young-narrow"]
+        for scan in (verify_preservation, dense_verify_preservation):
+            with pytest.raises(ValueError, match=r"non-finite defect values at t=0\.1"):
+                scan(datum, f_grids, g_grids, [0.1, 0.5], shift=-0.5)
