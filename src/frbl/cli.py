@@ -158,6 +158,7 @@ def _cmd_sigma(args) -> int:
         "max_iter": args.max_iter,
         "status": result.status,
         "sigma": None if result.sigma is None else result.sigma.mat.tolist(),
+        "separator": None if result.separator is None else result.separator.mat.tolist(),
         "sigma_min_eig": result.sigma_min_eig,
         "residual_in": result.residual_in,
         "residual_out": result.residual_out,

@@ -6,7 +6,9 @@ sits below ``Lambda_c`` in the Loewner order and some positive semidefinite
 Q^T`` has identity diagonal blocks as well.  The second condition is a
 feasibility problem over the intersection of the PSD cone with an affine
 subspace; it is attacked with Dykstra-style alternating projections, the
-affine projection being exact through a precomputed pseudo-inverse.
+affine projection being exact through a precomputed orthonormal basis of
+the constraint row space.  The gap between the two iterates doubles as a
+separating matrix that proves infeasibility when the sets lie apart.
 
 Two matrix inequalities that geometric data satisfy (and that drive the
 heat-flow preservation machinery) are exposed as direct numerical checks:
@@ -16,13 +18,15 @@ the adjoint contraction bound and the trace-domination implication.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .datum import FrblDatum, embed_blockdiag, lambda_maps
-from .linalg import DEFAULT_LOEWNER_TOL, SymMatrix, psd_project
+from .linalg import DEFAULT_LOEWNER_TOL, SymMatrix
+from .linalg import psd_project  # noqa: F401  (perfbench/tracing.py patches geometry.psd_project)
 
 __all__ = [
     "AdjointContractionResult",
@@ -76,93 +80,81 @@ def marginal_residuals(datum: FrblDatum, sigma: np.ndarray) -> tuple[float, floa
     return r_in, r_out
 
 
+def _upper_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``a <= b`` with ``block[a] == block[b]``, row by row."""
+    idx = np.arange(len(block))
+    return np.nonzero(np.less_equal.outer(idx, idx) & np.equal.outer(block, block))
+
+
 class _SigmaConstraints:
     """The affine subspace of symmetric matrices whose diagonal blocks, and
     whose pushforward diagonal blocks under ``Q . Q^T``, are identities.
 
-    Works on the vectorized symmetric space (scaled upper triangle, so the
-    Frobenius inner product becomes Euclidean).  The projection uses a
-    precomputed pseudo-inverse and is exact per call; a least-squares
-    residual at setup detects an empty subspace.
+    Works on the vectorized symmetric space (upper triangle, off-diagonal
+    entries scaled by ``sqrt(2)``, so the Frobenius inner product becomes
+    Euclidean).  Each constraint reads ``<sym(u v^T), X> = [a == b]`` for a
+    pair of rows ``u = M[a]``, ``v = M[b]`` in one diagonal block, with
+    ``M`` the identity on the input side and ``Q`` on the output side.
+
+    A thin SVD of ``A^T`` gives an orthonormal basis of range(A^T) that
+    drops dependent constraints (singular values at rounding level).  From
+    it come the orthogonal projector ``proj`` onto range(A^T) and the
+    least-norm point ``x_ls`` of the subspace, so the projection onto the
+    subspace is exact per call; a least-squares residual at setup detects
+    an empty subspace.
     """
 
     def __init__(self, datum: FrblDatum):
         layout = datum.layout
         n = layout.dim_in
-        pairs = [(p, r) for p in range(n) for r in range(p, n)]
-        col = {pr: idx for idx, pr in enumerate(pairs)}
-        sqrt2 = np.sqrt(2.0)
-
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        for i in range(layout.k):
-            sl = layout.in_slice(i)
-            for a in range(sl.start, sl.stop):
-                for b in range(a, sl.stop):
-                    row = np.zeros(len(pairs))
-                    row[col[(a, b)]] = 1.0 if a == b else 1.0 / sqrt2
-                    rows.append(row)
-                    rhs.append(1.0 if a == b else 0.0)
-        q = datum.q
-        for j in range(layout.m):
-            sl = layout.out_slice(j)
-            for r in range(sl.start, sl.stop):
-                for s in range(r, sl.stop):
-                    row = np.empty(len(pairs))
-                    for idx, (p, t) in enumerate(pairs):
-                        if p == t:
-                            row[idx] = q[r, p] * q[s, p]
-                        else:
-                            row[idx] = (q[r, p] * q[s, t] + q[r, t] * q[s, p]) / sqrt2
-                    rows.append(row)
-                    rhs.append(1.0 if r == s else 0.0)
-
         self.n = n
-        self.pairs = pairs
-        self.a = np.array(rows)
-        self.b = np.array(rhs)
-        self.pinv = np.linalg.pinv(self.a)
-        x_ls = self.pinv @ self.b
-        self.lstsq_residual = float(np.linalg.norm(self.a @ x_ls - self.b))
+        self.iu = p, t = _upper_pairs(np.zeros(n))
+        self.scale = np.where(p == t, 1.0, np.sqrt(2.0))
+        col = np.empty((n, n), dtype=np.intp)
+        col[p, t] = col[t, p] = np.arange(len(p))
+        self.col = col
+        self.unscale = 1.0 / self.scale[col]
+
+        rows, rhs = [], []
+        for m, dims in ((np.eye(n), layout.in_dims), (datum.q, layout.out_dims)):
+            a, b = _upper_pairs(np.repeat(np.arange(len(dims)), dims))
+            u, v = m[a], m[b]
+            rows.append((u[:, p] * v[:, t] + v[:, p] * u[:, t]) * (0.5 * self.scale))
+            rhs.append((a == b).astype(float))
+        self.a = np.vstack(rows)
+        self.b = np.concatenate(rhs)
+
+        u, sv, vh = np.linalg.svd(self.a.T, full_matrices=False)
+        keep = sv > sv[0] * max(self.a.shape) * np.finfo(float).eps
+        basis = u[:, keep]
+        self.proj = basis @ basis.T
+        self.x_ls = basis @ ((vh[keep] @ self.b) / sv[keep])
+        self.lstsq_residual = float(np.linalg.norm(self.a @ self.x_ls - self.b))
         self.rhs_norm = float(np.linalg.norm(self.b))
 
     def svec(self, s: np.ndarray) -> np.ndarray:
-        out = np.empty(len(self.pairs))
-        for idx, (p, r) in enumerate(self.pairs):
-            out[idx] = s[p, r] if p == r else np.sqrt(2.0) * s[p, r]
-        return out
+        return s[self.iu] * self.scale
 
     def smat(self, v: np.ndarray) -> np.ndarray:
-        s = np.zeros((self.n, self.n))
-        for idx, (p, r) in enumerate(self.pairs):
-            if p == r:
-                s[p, p] = v[idx]
-            else:
-                val = v[idx] / np.sqrt(2.0)
-                s[p, r] = val
-                s[r, p] = val
-        return s
-
-    def project(self, s: np.ndarray) -> np.ndarray:
-        x = self.svec(s)
-        x = x - self.pinv @ (self.a @ x - self.b)
-        return self.smat(x)
-
-    def distance(self, s: np.ndarray) -> float:
-        return float(np.linalg.norm(self.project(s) - s))
+        return v[self.col] * self.unscale
 
 
 @dataclass(frozen=True)
 class SigmaSearchResult:
-    """Outcome of the alternating-projection search for ``sigma``."""
+    """Outcome of the alternating-projection search for ``sigma``.
 
-    status: str  # "found" | "max-iter" | "affine-infeasible"
+    ``separator`` is set only for status ``infeasible``: a symmetric ``Y``
+    in range(A^T) that proves no ``sigma`` exists (see :func:`find_sigma`).
+    """
+
+    status: str  # "found" | "infeasible" | "max-iter" | "affine-infeasible"
     sigma: SymMatrix | None
     sigma_min_eig: float
     residual_in: float
     residual_out: float
     iterations: int
     reason: str | None = None
+    separator: SymMatrix | None = None
 
 
 def find_sigma(
@@ -178,11 +170,25 @@ def find_sigma(
     constraint subspace, started from the identity (which satisfies the
     input-side constraints by construction, making runs deterministic).
     Success requires both marginal residuals at or below ``tol`` and a
-    minimum eigenvalue at or above ``-tol``.  Hitting ``max_iter`` is
-    reported as not-found with the final residuals; alternating projections
-    cannot certify that no ``sigma`` exists.  An empty affine subspace is
+    minimum eigenvalue at or above ``-tol``.  An empty affine subspace is
     detected up front via the least-squares residual and reported as
     ``affine-infeasible``.
+
+    Each iteration also tests the gap ``Y = cone - x`` between the PSD
+    iterate and its affine projection as a separator.  ``Y`` lies in
+    range(A^T), so ``<X, Y>`` equals ``<X_aff, Y>`` on the whole subspace
+    (``X_aff`` its least-norm point) up to the rounding part ``Y_perp`` of
+    ``Y`` outside range(A^T).  A feasible ``X`` is PSD with trace
+    ``dim_in``, so ``<X, Y> >= lambda_min(Y) dim_in`` and ``|X|_F <=
+    dim_in``.  Hence no ``sigma`` exists when::
+
+        <X_aff, Y> + |Y_perp| (dim_in + |X_aff|) < lambda_min(Y) dim_in
+
+    and the search then stops with status ``infeasible`` and ``Y`` as the
+    separator.  The eigenvalues of ``Y`` are computed only when
+    ``<X_aff, Y> < 0``.  The test fires when the cone and the subspace lie
+    at positive distance; weakly infeasible data (distance zero, no common
+    point) still end in ``max-iter`` with the final residuals.
 
     With ``debug=True`` the distance of the cone iterate to the affine
     subspace is asserted non-increasing (up to rounding slack) across
@@ -190,34 +196,54 @@ def find_sigma(
     """
     cons = _SigmaConstraints(datum)
     if cons.lstsq_residual > tol * (1.0 + cons.rhs_norm):
-        x_ls = cons.smat(cons.pinv @ cons.b)
+        x_ls = cons.smat(cons.x_ls)
         r_in, r_out = marginal_residuals(datum, x_ls)
-        min_eig = float(np.linalg.eigvalsh(SymMatrix(x_ls).mat)[0])
+        min_eig = float(np.linalg.eigvalsh(x_ls)[0])
         log.debug("affine subspace infeasible, lstsq residual %.3e", cons.lstsq_residual)
         return SigmaSearchResult(
             "affine-infeasible", None, min_eig, r_in, r_out, 0, reason="affine-infeasible"
         )
 
-    x = np.eye(datum.layout.dim_in)
-    correction = np.zeros_like(x)
+    n = cons.n
+    proj, x_aff = cons.proj, cons.x_ls
+    # |X - X_aff|_F <= dim_in + |X_aff| for every feasible X
+    reach = n + float(np.linalg.norm(x_aff))
+    xv = cons.svec(np.eye(n))
+    correction = np.zeros_like(xv)
     prev_dist = np.inf
-    r_in = r_out = np.inf
     min_eig = -np.inf
     for iteration in range(1, max_iter + 1):
-        cone = psd_project(SymMatrix(x + correction)).mat
-        correction = x + correction - cone
+        shifted = xv + correction
+        w, v = np.linalg.eigh(cons.smat(shifted))
+        cone = cons.svec((v * np.clip(w, 0.0, None)) @ v.T)
+        correction = shifted - cone
+        gap = proj @ cone - x_aff
         if debug:
-            dist = cons.distance(cone)
+            dist = float(np.linalg.norm(gap))
             assert dist <= prev_dist + 1e-12 * (1.0 + prev_dist), (
                 f"distance to affine subspace increased: {prev_dist} -> {dist}"
             )
             prev_dist = dist
-        x = SymMatrix(cons.project(cone)).mat
-        r_in, r_out = marginal_residuals(datum, x)
+        xv = cone - gap
+        x = cons.smat(xv)
         min_eig = float(np.linalg.eigvalsh(x)[0])
-        if r_in <= tol and r_out <= tol and min_eig >= -tol:
-            log.debug("sigma found after %d iterations", iteration)
-            return SigmaSearchResult("found", SymMatrix(x), min_eig, r_in, r_out, iteration)
+        if min_eig >= -tol:
+            r_in, r_out = marginal_residuals(datum, x)
+            if r_in <= tol and r_out <= tol:
+                log.debug("sigma found after %d iterations", iteration)
+                return SigmaSearchResult("found", SymMatrix(x), min_eig, r_in, r_out,
+                                         iteration)
+        offset = float(x_aff @ gap)
+        if offset < 0.0:
+            y = cons.smat(gap)
+            bound = float(np.linalg.eigvalsh(y)[0]) * n
+            # the rounding part of Y outside range(A^T) matters only near the bound
+            if offset < bound and offset + np.linalg.norm(gap - proj @ gap) * reach < bound:
+                log.debug("separator found after %d iterations", iteration)
+                r_in, r_out = marginal_residuals(datum, x)
+                return SigmaSearchResult("infeasible", None, min_eig, r_in, r_out, iteration,
+                                         reason="separator", separator=SymMatrix(y))
+    r_in, r_out = marginal_residuals(datum, x) if max_iter > 0 else (np.inf, np.inf)
     return SigmaSearchResult("max-iter", None, min_eig, r_in, r_out, max_iter,
                              reason="max-iter")
 
@@ -229,10 +255,12 @@ class GeometricCertificate:
     ``verdict == "geometric"`` guarantees the Loewner condition holds, a
     ``sigma`` is present, both marginal residuals are at or below the
     feasibility tolerance and its minimum eigenvalue is at or above its
-    negative.
+    negative.  ``verdict == "not-geometric-sigma"`` carries the separator
+    that proves no ``sigma`` exists.
     """
 
-    verdict: str  # "geometric" | "not-geometric-loewner" | "sigma-not-found"
+    # "geometric" | "not-geometric-loewner" | "not-geometric-sigma" | "sigma-not-found"
+    verdict: str
     loewner_ok: bool
     loewner_min_eig: float
     sigma: SymMatrix | None
@@ -241,12 +269,14 @@ class GeometricCertificate:
     residual_out: float
     iterations: int
     reason: str | None = None
+    separator: SymMatrix | None = None
 
     def to_json(self) -> dict:
         out = {
             "verdict": self.verdict,
             "loewner_min_eig": self.loewner_min_eig,
             "sigma": None if self.sigma is None else self.sigma.mat.tolist(),
+            "separator": None if self.separator is None else self.separator.mat.tolist(),
             "residual_in": self.residual_in,
             "residual_out": self.residual_out,
             "iterations": self.iterations,
@@ -263,22 +293,26 @@ def check_geometric(
 ) -> GeometricCertificate:
     """Combine the Loewner check with the ``sigma`` search.
 
-    Deterministic for a fixed tolerance and iteration budget.  The sigma
-    search runs even when the Loewner condition fails so the certificate
-    carries full information; the verdict then stays
-    ``not-geometric-loewner``.
+    Deterministic for a fixed tolerance and iteration budget.  A failed
+    Loewner test decides the verdict ``not-geometric-loewner`` on its own:
+    the search does not run, so ``sigma`` is ``None``, ``iterations`` is 0
+    and the residuals are NaN.  Otherwise the verdict follows the search:
+    ``geometric`` when a ``sigma`` is found, ``not-geometric-sigma`` when
+    :func:`find_sigma` returns a separator ``Y`` with
+    ``<X_aff, Y> + |Y_perp| (dim_in + |X_aff|) < lambda_min(Y) dim_in``,
+    and ``sigma-not-found`` when the affine subspace is empty or the budget
+    runs out (weakly infeasible data end there too).
     """
     loewner_ok, min_eig = check_loewner(datum, tol)
-    search = find_sigma(datum, tol, max_iter)
     if not loewner_ok:
-        verdict = "not-geometric-loewner"
-    elif search.status == "found":
-        verdict = "geometric"
-    else:
-        verdict = "sigma-not-found"
+        return GeometricCertificate("not-geometric-loewner", False, min_eig, None,
+                                    math.nan, math.nan, math.nan, 0)
+    search = find_sigma(datum, tol, max_iter)
+    verdict = {"found": "geometric", "infeasible": "not-geometric-sigma"}.get(
+        search.status, "sigma-not-found")
     return GeometricCertificate(
         verdict=verdict,
-        loewner_ok=loewner_ok,
+        loewner_ok=True,
         loewner_min_eig=min_eig,
         sigma=search.sigma,
         sigma_min_eig=search.sigma_min_eig,
@@ -286,6 +320,7 @@ def check_geometric(
         residual_out=search.residual_out,
         iterations=search.iterations,
         reason=search.reason,
+        separator=search.separator,
     )
 
 

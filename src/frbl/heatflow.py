@@ -240,7 +240,7 @@ class PreservationPreconditionError(ValueError):
     """The pointwise relation fails at time zero; carries offending nodes."""
 
     def __init__(self, nodes):
-        self.nodes = list(nodes)
+        self.nodes = [(tuple(float(c) for c in xyz), float(d)) for xyz, d in nodes]
         shown = ", ".join(f"x={tuple(round(c, 6) for c in xyz)} defect={d:.3e}"
                           for xyz, d in self.nodes[:5])
         more = "" if len(self.nodes) <= 5 else f" (+{len(self.nodes) - 5} more)"

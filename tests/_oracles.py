@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own code paths: closed-form 2x2
 eigenvalues from the characteristic polynomial, trapezoid quadrature of
-the heat convolution integral, and a defect scan over the whole node set
-at once (it shares only the heat step with the library).
+the heat convolution integral, a defect scan over the whole node set
+at once (it shares only the heat step with the library), and the sigma
+constraints built entry by entry, which re-check a separator from the
+datum alone.
 """
 
 import math
@@ -58,6 +60,44 @@ def heat_quadrature_2d(form, log_pref: float, weight, t: float, x,
 def random_psd(rng: np.random.Generator, dim: int, floor: float = 0.0) -> np.ndarray:
     g = rng.standard_normal((dim, dim))
     return g @ g.T + floor * np.eye(dim)
+
+
+def sigma_constraints(datum) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Rows ``A``, right-hand side ``b`` and column pairs of the sigma
+    constraints on the scaled upper triangle, built one entry at a time."""
+    n = datum.layout.dim_in
+    pairs = [(p, r) for p in range(n) for r in range(p, n)]
+    sqrt2 = math.sqrt(2.0)
+    rows, rhs = [], []
+    for m, dims in ((np.eye(n), datum.layout.in_dims), (datum.q, datum.layout.out_dims)):
+        start = 0
+        for dim in dims:
+            for r in range(start, start + dim):
+                for s in range(r, start + dim):
+                    rows.append([m[r, p] * m[s, p] if p == t
+                                 else (m[r, p] * m[s, t] + m[r, t] * m[s, p]) / sqrt2
+                                 for p, t in pairs])
+                    rhs.append(1.0 if r == s else 0.0)
+            start += dim
+    return np.array(rows), np.array(rhs), pairs
+
+
+def separator_verifies(datum, y) -> bool:
+    """Re-check a separator ``Y`` from the datum alone.
+
+    Every feasible ``X`` is PSD with trace ``n`` and meets ``A svec(X) = b``,
+    so ``<X, Y> >= lambda_min(Y) n`` while ``<X, Y> <= <X_aff, Y> +
+    |Y_perp| (n + |X_aff|)``, with ``X_aff`` the least-norm solution and
+    ``Y_perp`` the part of ``Y`` outside the row space of ``A``.
+    """
+    a, b, pairs = sigma_constraints(datum)
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    yv = np.array([y[p, t] if p == t else math.sqrt(2.0) * y[p, t] for p, t in pairs])
+    x_aff = np.linalg.lstsq(a, b, rcond=None)[0]
+    y_perp = yv - a.T @ np.linalg.lstsq(a.T, yv, rcond=None)[0]
+    upper = x_aff @ yv + np.linalg.norm(y_perp) * (n + np.linalg.norm(x_aff))
+    return bool(upper < np.linalg.eigvalsh(y)[0] * n)
 
 
 def _dense_interpolate(grid, pts) -> np.ndarray:

@@ -1,13 +1,21 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import frbl
 from frbl.cli import main
 from frbl.datum import datum_from_json, datum_to_json
 from frbl.heatflow import GridFunction, grid_to_json
 from frbl.instances import prekopa_leindler
+
+from _oracles import separator_verifies
+
+HARD = {"in_dims": [1, 1], "out_dims": [1], "c": [0.5, 0.5], "d": [1.0], "Q": [[0.6, 0.3]]}
 
 
 @pytest.fixture
@@ -24,6 +32,13 @@ def negative_file(tmp_path):
         "in_dims": [1, 1], "out_dims": [1], "c": [0.5, 0.5], "d": [1.0],
         "Q": [[1.0, 1.0]],
     }))
+    return str(path)
+
+
+@pytest.fixture
+def hard_file(tmp_path):
+    path = tmp_path / "hard.json"
+    path.write_text(json.dumps(HARD))
     return str(path)
 
 
@@ -88,6 +103,20 @@ class TestCheck:
         assert report["verdict"] == "not-geometric-loewner"
         assert report["loewner_min_eig"] == pytest.approx(-1.5, abs=1e-12)
 
+    def test_separator_exit_one(self, hard_file, capsys):
+        assert main(["check", hard_file]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "not-geometric-sigma"
+        assert report["sigma"] is None
+        assert separator_verifies(datum_from_json(HARD), report["separator"])
+
+    def test_loewner_failure_prints_null_residuals(self, negative_file, capsys):
+        assert main(["check", negative_file]) == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["iterations"] == 0
+        assert report["sigma"] is None and report["separator"] is None
+        assert report["residual_in"] is None and report["residual_out"] is None
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"in_dims": [1, 1], ')
@@ -132,6 +161,15 @@ class TestSigma:
         assert main(["sigma", str(path)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["reason"] == "affine-infeasible"
+        assert report["separator"] is None
+
+    def test_separator(self, hard_file, capsys):
+        assert main(["sigma", hard_file]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "infeasible"
+        assert report["reason"] == "separator"
+        assert report["sigma"] is None
+        assert separator_verifies(datum_from_json(HARD), report["separator"])
 
 
 class TestGaussian:
@@ -331,6 +369,23 @@ class TestContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_certification_imports_no_scipy(self, pl_file, tmp_path):
+        # scipy would add to every start-up of these commands
+        code = (
+            "import sys\n"
+            "from frbl.cli import main\n"
+            f"assert main(['check', {pl_file!r}, '--out', {str(tmp_path / 'c.json')!r}]) == 0\n"
+            f"assert main(['sigma', {pl_file!r}, '--out', {str(tmp_path / 's.json')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(frbl.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_commands_share_one_process(self, pl_file, tmp_path, capsys):
         assert main(["check", pl_file]) == 0

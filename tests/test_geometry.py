@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frbl.datum import embed_blockdiag, make_datum
+from frbl.datum import EquivalenceTransform, apply_equivalence, embed_blockdiag, make_datum
 from frbl.geometry import (
+    _SigmaConstraints,
     check_geometric,
     check_loewner,
     find_sigma,
@@ -10,15 +15,61 @@ from frbl.geometry import (
     verify_adjoint_contraction,
     verify_trace_implication,
 )
-from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
+from frbl.instances import holder, loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
-from _oracles import eig2x2, random_psd
+from _oracles import eig2x2, random_psd, separator_verifies, sigma_constraints
 
 
 def negative_control():
     """Loewner-violating datum: sum of two lines onto one with unit map."""
     return make_datum((1, 1), (1,), (0.5, 0.5), (1.0,), [[1.0, 1.0]])
+
+
+def hard_case():
+    """Loewner holds, but the constraints force the off-diagonal entry of
+    sigma to 0.55 / 0.36 > 1, beyond PSD range."""
+    return make_datum((1, 1), (1,), (0.5, 0.5), (1.0,), [[0.6, 0.3]])
+
+
+def slow_case():
+    """Frozen random datum whose feasible point is far from the identity
+    start; Loewner fails and the search needs a few hundred projections."""
+    return make_datum(
+        (1, 1, 2),
+        (1,),
+        [0.62537719437472, 1.766995947758348, 0.8301889996603169],
+        [4.052751141453702],
+        [[-0.586630882730846, 0.7707802337475681,
+          -0.49544904738287204, -1.8397186052226187]],
+    )
+
+
+def random_orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def feasible_data():
+    """Data that admit a sigma: bundled, rotated, random orthogonal up to
+    dimension 16, and the slow datum."""
+    rng = np.random.default_rng(606)
+    bundled = [prekopa_leindler(0.3), young_frame(), loomis_whitney_2d(),
+               holder((0.5, 0.3, 0.2), dim=2)]
+    rotated = [
+        apply_equivalence(base, EquivalenceTransform(
+            tuple(random_orthogonal(rng, d) for d in base.layout.in_dims),
+            tuple(random_orthogonal(rng, d) for d in base.layout.out_dims),
+        ))
+        for base in bundled
+    ]
+    layouts = [((1,) * 6, (2, 2, 2)), ((2,) * 4, (8,)), ((1,) * 10, (5, 5)),
+               ((1,) * 12, (12,)), ((2,) * 7, (7, 7)), ((1,) * 16, (16,))]
+    orthogonal = [
+        make_datum(i, o, (1.0,) * len(i), (1.0,) * len(o), random_orthogonal(rng, sum(i)))
+        for i, o in layouts
+    ]
+    return bundled + rotated + orthogonal + [slow_case()]
 
 
 class TestLoewner:
@@ -64,13 +115,76 @@ class TestFindSigma:
         assert res.reason == "affine-infeasible"
         assert res.sigma is None
 
-    def test_max_iter_when_cone_never_reached(self):
-        # affine constraints force an off-diagonal entry beyond PSD range
-        datum = make_datum((1, 1), (1,), (0.5, 0.5), (1.0,), [[0.6, 0.3]])
+    def test_separator_when_cone_never_reached(self):
+        datum = hard_case()
         res = find_sigma(datum, tol=1e-8, max_iter=300)
-        assert res.status == "max-iter"
-        assert res.iterations == 300
+        assert res.status == "infeasible"
+        assert res.reason == "separator"
+        assert res.sigma is None
+        assert res.iterations < 300
         assert max(res.residual_in, res.residual_out) > 1e-8 or res.sigma_min_eig < -1e-8
+        assert separator_verifies(datum, res.separator.mat)
+
+    def test_max_iter_on_small_budget(self):
+        res = find_sigma(slow_case(), max_iter=5)
+        assert res.status == "max-iter"
+        assert res.reason == "max-iter"
+        assert res.iterations == 5
+        assert res.sigma is None and res.separator is None
+        assert math.isfinite(res.residual_in) and math.isfinite(res.residual_out)
+
+    def test_corrupted_separator_fails_recheck(self):
+        # three lines onto one: the forced off-diagonal entries of sigma sum
+        # to 4.06 > 3, and the constraints leave a two-dimensional null space
+        datum = make_datum((1, 1, 1), (1,), (1 / 3,) * 3, (1.0,), [[0.3, 0.3, 0.3]])
+        res = find_sigma(datum)
+        assert res.status == "infeasible"
+        y = res.separator.mat
+        assert separator_verifies(datum, y)
+        assert not separator_verifies(datum, -y)
+        a, _, pairs = sigma_constraints(datum)
+        null = np.linalg.svd(a)[2][-1]  # orthogonal to every constraint row
+        assert np.abs(a @ null).max() < 1e-12
+        off_range = np.zeros_like(y)
+        for (p, t), val in zip(pairs, null):
+            off_range[p, t] = off_range[t, p] = val if p == t else val / math.sqrt(2.0)
+        assert not separator_verifies(datum, y + np.abs(y).max() * off_range)
+
+    def test_feasible_data_never_report_a_separator(self):
+        for datum in feasible_data():
+            res = find_sigma(datum)
+            assert res.status == "found", (datum.layout, res.status, res.iterations)
+            assert res.separator is None
+
+    def test_constraint_rows_match_entrywise_reference(self):
+        for datum in feasible_data() + [hard_case()]:
+            cons = _SigmaConstraints(datum)
+            a, b, _ = sigma_constraints(datum)
+            np.testing.assert_allclose(cons.a, a, rtol=0, atol=4e-16 * np.abs(a).max())
+            np.testing.assert_array_equal(cons.b, b)
+            x = np.arange(cons.n ** 2, dtype=float).reshape(cons.n, cons.n)
+            x = x + x.T
+            np.testing.assert_allclose(cons.smat(cons.svec(x)), x, rtol=1e-15, atol=0)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        c1=st.floats(0.1, 0.9),
+        radius=st.floats(0.1, 0.95),
+        angle=st.floats(0.1, math.pi / 2 - 0.1),
+        signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+    )
+    def test_two_lines_off_the_prekopa_leindler_curve(self, c1, radius, angle, signs):
+        # a^2/c1 + b^2/c2 = radius^2 < 1, so Loewner holds with margin; by
+        # Cauchy-Schwarz (|a| + |b|)^2 <= radius^2 < 1, so the forced
+        # off-diagonal entry (1 - a^2 - b^2) / (2ab) lies beyond [-1, 1]
+        c2 = 1.0 - c1
+        a = signs[0] * radius * math.sqrt(c1) * math.cos(angle)
+        b = signs[1] * radius * math.sqrt(c2) * math.sin(angle)
+        datum = make_datum((1, 1), (1,), (c1, c2), (1.0,), [[a, b]])
+        cert = check_geometric(datum, max_iter=20)
+        assert cert.verdict == "not-geometric-sigma", (a, b, c1, cert.iterations)
+        assert cert.sigma is None
+        assert separator_verifies(datum, cert.separator.mat)
 
     def test_debug_distance_monotonicity(self):
         for datum in (prekopa_leindler(0.4), young_frame(), loomis_whitney_2d()):
@@ -100,8 +214,6 @@ class TestFindSigma:
         # conditions; the certificate sigma is then a rotated one
         from scipy.stats import ortho_group
 
-        from frbl.datum import EquivalenceTransform, apply_equivalence
-
         rng = np.random.default_rng(77)
 
         def random_orthogonal(dim):
@@ -122,15 +234,7 @@ class TestFindSigma:
     def test_slow_convergence_case(self):
         # frozen random datum whose feasible point is far from the identity
         # start; the search needs a few hundred alternating projections
-        datum = make_datum(
-            (1, 1, 2),
-            (1,),
-            [0.62537719437472, 1.766995947758348, 0.8301889996603169],
-            [4.052751141453702],
-            [[-0.586630882730846, 0.7707802337475681,
-              -0.49544904738287204, -1.8397186052226187]],
-        )
-        res = find_sigma(datum, debug=True)
+        res = find_sigma(slow_case(), debug=True)
         assert res.status == "found"
         assert res.iterations > 100
         assert max(res.residual_in, res.residual_out) <= 1e-8
@@ -161,6 +265,24 @@ class TestCheckGeometric:
         assert cert.verdict == "not-geometric-loewner"
         assert not cert.loewner_ok
 
+    def test_loewner_failure_skips_search(self):
+        # the slow datum fails Loewner; its search would need 443 iterations
+        cert = check_geometric(slow_case())
+        assert cert.verdict == "not-geometric-loewner"
+        assert cert.iterations == 0
+        assert cert.sigma is None and cert.separator is None
+        assert math.isnan(cert.residual_in) and math.isnan(cert.residual_out)
+
+    def test_separator_verdict(self):
+        datum = hard_case()
+        cert = check_geometric(datum)
+        assert cert.loewner_ok
+        assert cert.verdict == "not-geometric-sigma"
+        assert cert.reason == "separator"
+        obj = cert.to_json()
+        assert obj["sigma"] is None
+        assert separator_verifies(datum, obj["separator"])
+
     def test_loewner_ok_but_sigma_missing(self):
         datum = make_datum((1,), (1,), (1.0,), (1.0,), [[0.5]])
         cert = check_geometric(datum)
@@ -171,10 +293,11 @@ class TestCheckGeometric:
     def test_certificate_json_schema(self):
         cert = check_geometric(young_frame())
         obj = cert.to_json()
-        for key in ("verdict", "loewner_min_eig", "sigma", "residual_in",
+        for key in ("verdict", "loewner_min_eig", "sigma", "separator", "residual_in",
                     "residual_out", "iterations"):
             assert key in obj
         assert obj["sigma"] == cert.sigma.mat.tolist()
+        assert obj["separator"] is None
 
 
 class TestAdjointContraction:

@@ -200,6 +200,15 @@ class TestVerifyPreservation:
         coords = {tuple(round(c, 9) for c in xyz) for xyz, _ in err.value.nodes}
         assert (0.0, 0.0) in coords
 
+    def test_precondition_message_prints_plain_floats(self):
+        datum = prekopa_leindler(0.5)
+        g = gaussian_grid()
+        broken = GridFunction(g.lo, g.hi, g.n, 2.0 * g.values)
+        with pytest.raises(PreservationPreconditionError) as err:
+            verify_preservation(datum, [broken, g], [g], [0.1], tol=1e-4)
+        assert "np.float64" not in str(err.value)
+        assert "x=(-" in str(err.value)
+
     def test_exterior_projections_are_skipped(self):
         # narrow g grids on the same 0.12-spaced lattice as the wide ones,
         # so the time-zero interpolants agree where they overlap
