@@ -245,8 +245,9 @@ def _cmd_flow_verify(args) -> int:
         for t, data in zip(field.times, field.fields):
             rows = [header] + data.tolist()
             _write_csv(rows, os.path.join(args.fields_dir, f"defect_t{t:g}.csv"))
-    print(f"verdict: {'holds' if field.holds else 'fails'} "
-          f"(tol={args.tol}, nodes={field.nodes_evaluated})", file=sys.stderr)
+    print(f"verdict: {'holds' if field.holds else 'fails'} (tol={args.tol}, "
+          f"nodes={field.nodes_evaluated} of {math.prod(fg.values.size for fg in f_grids)})",
+          file=sys.stderr)
     return EXIT_OK if field.holds else EXIT_FAIL
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -270,6 +271,21 @@ class TestFlow:
         rows = list(csv.reader(open(out)))
         assert rows[0] == ["t", "min_defect", "argmin_x1", "argmin_x2"]
         capsys.readouterr()
+
+    def test_verdict_line_reports_interior_share(self, pl_file, tmp_path, capsys):
+        # a g grid on [-3, 3] with the f grids' spacing: midpoints of f nodes
+        # beyond it are skipped, so fewer than all 201^2 nodes are scanned
+        xs = np.linspace(-3, 3, 101)
+        narrow = GridFunction([-3.0], [3.0], [101], np.exp(-xs**2))
+        wide = json.loads(open(grids_file(tmp_path)).read())
+        grids = tmp_path / "narrow.json"
+        grids.write_text(json.dumps({"f": wide["f"], "g": [grid_to_json(narrow)]}))
+        code = main(["flow-verify", pl_file, str(grids), "--times", "0.1",
+                     "--out", str(tmp_path / "d.csv")])
+        err = capsys.readouterr().err
+        match = re.search(r"^verdict: holds \(tol=0\.0001, nodes=(\d+) of (\d+)\)$", err, re.M)
+        assert code == 0 and match, err
+        assert 0 < int(match[1]) < int(match[2]) == 201**2
 
     def test_verify_precondition_violation_exit_one(self, pl_file, tmp_path, capsys):
         grids = grids_file(tmp_path, name="broken.json", scale_f0=2.0)

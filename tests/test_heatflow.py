@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,33 @@ class TestHeatStep:
         g = gaussian_grid()
         with pytest.raises(ValueError, match="positive"):
             heat_step(g, 0.0, I1)
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("diag", [(1.0, 1.0), (1.2, 0.8)])
+    def test_per_axis_matches_full_kernel(self, t, diag):
+        # a diagonal weight convolves axis by axis; the full 2-D kernel of
+        # the same weight and truncation must give the same samples
+        grid = GridFunction.sample(lambda p: np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2),
+                                   [-6, -6], [6, 6], [201, 201])
+        h = grid.spacing
+        m = [min(cnt - 1, math.ceil(8 * math.sqrt(2 * t * max(diag)) / hx))
+             for hx, cnt in zip(h, grid.n)]
+        z1, z2 = np.meshgrid(*[np.arange(-mi, mi + 1) * hx for mi, hx in zip(m, h)], indexing="ij")
+        kernel = (np.exp(-(z1**2 / diag[0] + z2**2 / diag[1]) / (4 * t))
+                  / (4 * math.pi * t * math.sqrt(diag[0] * diag[1])) * h[0] * h[1])
+        full = np.clip(signal.convolve(grid.values, kernel, mode="same", method="fft"), 0, None)
+        ev = heat_step(grid, t, SymMatrix(np.diag(diag)))
+        assert np.abs(ev.values - full).max() <= 1e-15 * full.max()
+
+    def test_one_axis_is_one_convolution(self):
+        g = gaussian_grid(half=6.0, n=201)
+        t = 0.3
+        h = g.spacing[0]
+        m = min(g.n[0] - 1, math.ceil(8 * math.sqrt(2 * t) / h))
+        offs = np.arange(-m, m + 1) * h
+        kern = (4 * math.pi * t) ** -0.5 * np.exp(-(offs**2) / (4 * t)) * h
+        want = np.clip(signal.convolve(g.values, kern, mode="same", method="auto"), 0, None)
+        np.testing.assert_array_equal(heat_step(g, t, I1).values, want)
 
     def test_fft_equals_direct_quadrature(self):
         # the fft path is plain zero-padded linear convolution, not a
@@ -383,3 +411,44 @@ class TestChunkedScan:
         for scan in (verify_preservation, dense_verify_preservation):
             with pytest.raises(ValueError, match=r"non-finite defect values at t=0\.1"):
                 scan(datum, f_grids, g_grids, [0.1, 0.5], shift=-0.5)
+
+
+def _precondition_nodes(scan, datum, f_grids, g_grids):
+    broken = [GridFunction(f_grids[0].lo, f_grids[0].hi, f_grids[0].n, 1.5 * f_grids[0].values),
+              *f_grids[1:]]
+    with pytest.raises(PreservationPreconditionError) as err:
+        scan(datum, broken, g_grids, [0.1])
+    return err.value.nodes
+
+
+class TestScanChunkSizes:
+    """Chunks of one node (less than a row), of 97 nodes and of 2^20 nodes
+    (the whole scan) give the dense oracle's answer exactly."""
+
+    @pytest.mark.parametrize("chunk", [1, 97, 1 << 20])
+    @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+    def test_matches_dense_scan(self, case, chunk, monkeypatch):
+        datum, f_grids, g_grids = _equivalence_cases()[case]
+        times = [0.0, 0.1, 0.5]
+        want = dense_verify_preservation(datum, f_grids, g_grids, times, collect_fields=True)
+        want_nodes = _precondition_nodes(dense_verify_preservation, datum, f_grids, g_grids)
+        monkeypatch.setattr(heatflow, "SCAN_CHUNK", chunk)
+        got = verify_preservation(datum, f_grids, g_grids, times, collect_fields=True)
+        for name in ("times", "min_defect", "argmin", "thresholds", "nodes_evaluated", "holds"):
+            assert getattr(got, name) == getattr(want, name), name
+        for a, b in zip(got.fields, want.fields, strict=True):
+            np.testing.assert_array_equal(a, b)
+        got_nodes = _precondition_nodes(verify_preservation, datum, f_grids, g_grids)
+        assert got_nodes and got_nodes == want_nodes
+
+    def test_three_axis_scan_memory_is_bounded(self):
+        # 121^3 nodes: the whole-grid f side alone would take 14 MB
+        datum, f_grids, g_grids = line3_inputs(n=121)
+        tracemalloc.start()
+        try:
+            field = verify_preservation(datum, f_grids, g_grids, [0.1, 0.5, 1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.holds and field.nodes_evaluated == 121**3
+        assert peak < 16 * 2**20
