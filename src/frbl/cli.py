@@ -133,13 +133,13 @@ def _cmd_gen(args) -> int:
 
 
 def _in_range(fn, datum, **kwargs):
-    """Run a certification step; a datum whose magnitudes overflow double
-    precision on the way is an input error, not a verdict."""
+    """Run a certification or Gaussian step; input whose magnitudes overflow
+    double precision on the way is an input error, not a verdict."""
     try:
         with np.errstate(over="raise"):
             return fn(datum, **kwargs)
     except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
-        raise InputError(f"datum out of numerical range: {exc}") from exc
+        raise InputError(f"input out of numerical range: {exc}") from exc
 
 
 def _cmd_check(args) -> int:
@@ -176,7 +176,10 @@ def _cmd_gaussian(args) -> int:
         tup.check_layout(datum)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    return _in_range(_gaussian_op, datum, tup=tup, args=args)
 
+
+def _gaussian_op(datum, tup, args) -> int:
     if args.op == "relation":
         rel = gc.relation_check(datum, tup, tol=args.tol)
         _emit({"tol": args.tol, "holds": rel.holds,
@@ -186,7 +189,10 @@ def _cmd_gaussian(args) -> int:
 
     if args.op == "ratio":
         log_ratio = gc.log_frbl_ratio(datum, tup)
-        _emit({"ratio": float(np.exp(log_ratio)), "log_ratio": log_ratio}, args.out)
+        # a finite log ratio beyond exp's range is still an answer: ratio null
+        with np.errstate(over="ignore"):
+            ratio = float(np.exp(log_ratio))
+        _emit({"ratio": ratio, "log_ratio": log_ratio}, args.out)
         return EXIT_OK
 
     if args.op == "extremizer":

@@ -50,10 +50,9 @@ PD_TOL = 1e-12
 DEFAULT_RELATION_TOL = 1e-9
 
 
-def _require_pd(m: SymMatrix, what: str) -> None:
-    if m.min_eigenvalue() <= PD_TOL:
-        raise ValueError(f"{what} must be positive definite "
-                         f"(min eigenvalue {m.min_eigenvalue():.3e})")
+def _require_pd(min_eig: float, what: str) -> None:
+    if min_eig <= PD_TOL:
+        raise ValueError(f"{what} must be positive definite (min eigenvalue {min_eig:.3e})")
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class CenteredGaussian:
     log_prefactor: float = 0.0
 
     def __post_init__(self):
-        _require_pd(self.form, "Gaussian form")
+        _require_pd(self.form.min_eigenvalue(), "Gaussian form")
         object.__setattr__(self, "log_prefactor", float(self.log_prefactor))
         if not math.isfinite(self.log_prefactor):
             raise ValueError("log_prefactor must be finite")
@@ -103,22 +102,28 @@ def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None
 
     Closed form of the kernel convolution: the form becomes
     ``inv(inv(B) + 4 t W)`` and the log prefactor drops by
-    ``(1/2) log det(id + 4 t W B)``.  The determinant is accumulated through
-    the eigenvalues of ``sqrt(W) B sqrt(W)`` so large ``t`` stays stable.
+    ``(1/2) log det(id + 4 t W B)``.  With ``sqrt(W) B sqrt(W) = U diag(mu) U^T``
+    the new form is ``M diag(mu / (1 + 4 t mu)) M^T`` for ``M = W^{-1/2} U``
+    and the determinant is ``prod (1 + 4 t mu)``, so one eigendecomposition
+    (two with a weight) serves both and large ``t`` stays stable.
     """
     if t <= 0:
         raise ValueError("evolution time must be positive")
-    if a_weight is None:
-        a_weight = SymMatrix.identity(g.space_dim)
-    if a_weight.dim != g.space_dim:
-        raise ValueError(f"weight dim {a_weight.dim} does not match Gaussian dim {g.space_dim}")
-    _require_pd(a_weight, "heat weight")
-
     b = g.form.mat
-    new_form = np.linalg.inv(np.linalg.inv(b) + 4.0 * t * a_weight.mat)
-    root = sqrt_psd(a_weight).mat
-    mu = np.linalg.eigvalsh(SymMatrix(root @ b @ root).mat)
-    log_det = float(np.sum(np.log1p(4.0 * t * mu)))
+    if a_weight is None:
+        mu, m = np.linalg.eigh(b)
+    else:
+        if a_weight.dim != g.space_dim:
+            raise ValueError(f"weight dim {a_weight.dim} does not match Gaussian dim {g.space_dim}")
+        w, v = np.linalg.eigh(a_weight.mat)
+        _require_pd(float(w[0]), "heat weight")
+        sqrt_w = np.sqrt(w)
+        root = (v * sqrt_w) @ v.T
+        mu, u = np.linalg.eigh(root @ b @ root)
+        m = (v / sqrt_w) @ (v.T @ u)
+    spread = 4.0 * t * mu
+    new_form = (m * (mu / (1.0 + spread))) @ m.T
+    log_det = float(np.sum(np.log1p(spread)))
     return CenteredGaussian(SymMatrix(new_form), g.log_prefactor - 0.5 * log_det)
 
 
@@ -217,9 +222,10 @@ def relation_check(
         layout.out_dims, [dj * gg.form.mat for dj, gg in zip(datum.d, tup.g)]
     ) @ datum.q
     min_eig = float(np.linalg.eigvalsh(SymMatrix(p - s).mat)[0])
-    a = float(sum(ci * gf.log_prefactor for ci, gf in zip(datum.c, tup.f)))
-    b = float(sum(dj * gg.log_prefactor for dj, gg in zip(datum.d, tup.g)))
-    gap = b - a
+    # numpy scalars, so an overflowing difference obeys np.errstate
+    a = sum(ci * gf.log_prefactor for ci, gf in zip(datum.c, tup.f))
+    b = sum(dj * gg.log_prefactor for dj, gg in zip(datum.d, tup.g))
+    gap = float(b - a)
     return RelationResult(min_eig >= -tol and gap >= -tol, min_eig, gap)
 
 
@@ -303,11 +309,11 @@ def geometrize_from_extremizers(
     for i, mat in enumerate(ins):
         if mat.dim != layout.in_dims[i]:
             raise ValueError(f"input weight {i} has dim {mat.dim}, expected {layout.in_dims[i]}")
-        _require_pd(mat, f"input weight {i}")
+        _require_pd(mat.min_eigenvalue(), f"input weight {i}")
     for j, mat in enumerate(outs):
         if mat.dim != layout.out_dims[j]:
             raise ValueError(f"output weight {j} has dim {mat.dim}, expected {layout.out_dims[j]}")
-        _require_pd(mat, f"output weight {j}")
+        _require_pd(mat.min_eigenvalue(), f"output weight {j}")
 
     c_blocks = []
     for m in ins:
@@ -327,7 +333,7 @@ def long_time_limit(g: CenteredGaussian, a_weight: SymMatrix, x) -> float:
     ``W``; :func:`rescaled_heat_value` is the finite-time evaluator whose
     ``t -> infinity`` limit this is.
     """
-    _require_pd(a_weight, "heat weight")
+    _require_pd(a_weight.min_eigenvalue(), "heat weight")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w = a_weight.mat
     sign, log_det = np.linalg.slogdet(w)

@@ -7,15 +7,15 @@ eigendecomposition-based routines are used throughout.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
     "DEFAULT_LOEWNER_TOL",
     "SymMatrix",
-    "loewner_geq",
     "psd_project",
     "sqrt_psd",
-    "sym_eig",
 ]
 
 # Absolute tolerance on the minimum eigenvalue for Loewner-order checks when
@@ -25,6 +25,11 @@ DEFAULT_LOEWNER_TOL = 1e-9
 # How far below zero an eigenvalue may sit before a matrix stops counting as
 # positive semidefinite for square-root purposes.
 PSD_TOL = 1e-10
+
+
+@functools.lru_cache(maxsize=64)
+def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.tril_indices(dim, -1)
 
 
 class SymMatrix:
@@ -38,14 +43,16 @@ class SymMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, entries) -> None:
-        m = np.array(entries, dtype=float)
+        m = np.array(entries, dtype=float, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("matrix entries must all be finite")
-        sym = np.triu(m) + np.triu(m, 1).T
-        sym.setflags(write=False)
-        self.mat = sym
+        m += 0.0  # -0.0 becomes +0.0, so equal matrices have equal bytes
+        lower = _strict_lower(m.shape[0])
+        m[lower] = m.T[lower]
+        m.setflags(write=False)
+        self.mat = m
 
     @classmethod
     def identity(cls, dim: int) -> "SymMatrix":
@@ -65,28 +72,6 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"SymMatrix({self.mat.tolist()!r})"
-
-
-def sym_eig(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in ascending order and orthonormal eigenvectors of ``m``.
-
-    The reconstruction ``V @ diag(w) @ V.T`` matches ``m`` to relative
-    precision around 1e-12 of its Frobenius norm.
-    """
-    return np.linalg.eigh(m.mat)
-
-
-def loewner_geq(a: SymMatrix, b: SymMatrix, tol: float = DEFAULT_LOEWNER_TOL) -> bool:
-    """True iff ``a - b`` is positive semidefinite up to ``-tol``.
-
-    ``tol`` is an absolute slack on the minimum eigenvalue of the difference.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    w = np.linalg.eigvalsh(a.mat - b.mat)
-    return bool(w[0] >= -tol)
 
 
 def psd_project(m: SymMatrix) -> SymMatrix:

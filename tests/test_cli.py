@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +386,29 @@ class TestContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("op", ["ratio", "relation"])
+    def test_overflowing_prefactors_are_input_error(self, pl_file, tmp_path, op, capsys):
+        path = tmp_path / "huge.json"
+        f = {"log_prefactor": 1e308, "form": [[1.0]]}
+        path.write_text(json.dumps({"f": [f, f], "g": [{**f, "log_prefactor": -1e308}]}))
+        assert main(["gaussian", pl_file, str(path), "--op", op]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_ratio_beyond_exp_range_is_null(self, pl_file, tmp_path, capsys):
+        # the log ratio is finite, so the answer stands; only exp(log ratio) overflows
+        path = tmp_path / "tall.json"
+        f = {"log_prefactor": 1000.0, "form": [[1.0]]}
+        path.write_text(json.dumps({"f": [f, f], "g": [{**f, "log_prefactor": 0.0}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gaussian", pl_file, str(path), "--op", "ratio"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out, parse_constant=_reject_constant)
+        assert report["ratio"] is None and report["log_ratio"] == pytest.approx(1000.0)
+        assert captured.err == ""
 
     def test_certification_imports_no_scipy(self, pl_file, tmp_path):
         # scipy would add to every start-up of these commands

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frbl.datum import make_datum
 from frbl.gaussian import (
@@ -26,7 +29,7 @@ from frbl.geometry import check_geometric, check_loewner
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
-from _oracles import eig2x2, heat_quadrature_1d, heat_quadrature_2d
+from _oracles import eig2x2, heat_quadrature_1d, heat_quadrature_2d, random_psd
 
 
 def standard_tuple(datum):
@@ -35,6 +38,10 @@ def standard_tuple(datum):
         tuple(CenteredGaussian.standard(d) for d in datum.layout.out_dims),
     )
 
+
+small_squares = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.floats(min_value=-1.0, max_value=1.0))
+)
 
 GEOMETRIC_INSTANCES = (
     prekopa_leindler(0.5),
@@ -142,6 +149,51 @@ class TestHeatEvolve:
             for t in (0.1, 1.0, 50.0):
                 ev = heat_evolve(g, t)
                 assert abs(log_gaussian_integral(ev) - log_gaussian_integral(g)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.01, 1.0, 100.0, 1e4])
+    def test_identity_weight_matches_inverse_formula(self, t):
+        rng = np.random.default_rng(43)
+        for dim in (1, 2, 3):
+            for _ in range(5):
+                form = SymMatrix(random_psd(rng, dim, floor=0.3))
+                g = CenteredGaussian(form, float(rng.normal()))
+                ev = heat_evolve(g, t)
+                explicit = heat_evolve(g, t, SymMatrix.identity(dim))
+                expected = np.linalg.inv(np.linalg.inv(g.form.mat) + 4.0 * t * np.eye(dim))
+                log_det = np.linalg.slogdet(np.eye(dim) + 4.0 * t * g.form.mat)[1]
+                scale = np.abs(expected).max()
+                assert np.abs(ev.form.mat - expected).max() <= 1e-14 * scale
+                assert np.abs(explicit.form.mat - ev.form.mat).max() <= 1e-14 * scale
+                pref = g.log_prefactor - 0.5 * log_det
+                assert abs(ev.log_prefactor - pref) <= 1e-14 * max(1.0, abs(pref))
+                assert abs(explicit.log_prefactor - pref) <= 1e-14 * max(1.0, abs(pref))
+
+    @pytest.mark.parametrize("t", [0.01, 1.0, 100.0, 1e4])
+    def test_weighted_path_matches_inverse_formula(self, t):
+        rng = np.random.default_rng(47)
+        for dim in (1, 2, 3):
+            for _ in range(5):
+                form = SymMatrix(random_psd(rng, dim, floor=0.3))
+                g = CenteredGaussian(form, float(rng.normal()))
+                weight = SymMatrix(random_psd(rng, dim, floor=0.3))
+                ev = heat_evolve(g, t, weight)
+                expected = np.linalg.inv(np.linalg.inv(g.form.mat) + 4.0 * t * weight.mat)
+                log_det = np.linalg.slogdet(np.eye(dim) + 4.0 * t * weight.mat @ g.form.mat)[1]
+                assert np.abs(ev.form.mat - expected).max() <= 1e-13 * np.abs(expected).max()
+                pref = g.log_prefactor - 0.5 * log_det
+                assert abs(ev.log_prefactor - pref) <= 1e-13 * max(1.0, abs(pref))
+
+    @settings(max_examples=50)
+    @given(raw=small_squares, pref=st.floats(-5.0, 5.0),
+           s=st.floats(0.01, 10.0), t=st.floats(0.01, 10.0))
+    def test_identity_semigroup_and_mass_property(self, raw, pref, s, t):
+        dim = raw.shape[0]
+        g = CenteredGaussian(SymMatrix(raw @ raw.T / dim + 0.3 * np.eye(dim)), pref)
+        two_step = heat_evolve(heat_evolve(g, s), t)
+        one_step = heat_evolve(g, s + t)
+        assert np.abs(two_step.form.mat - one_step.form.mat).max() <= 1e-12
+        assert abs(two_step.log_prefactor - one_step.log_prefactor) <= 1e-12
+        assert abs(log_gaussian_integral(one_step) - log_gaussian_integral(g)) <= 1e-12
 
     def test_invalid_inputs(self):
         g = CenteredGaussian.standard(1)

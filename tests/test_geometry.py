@@ -166,7 +166,7 @@ class TestFindSigma:
             x = x + x.T
             np.testing.assert_allclose(cons.smat(cons.svec(x)), x, rtol=1e-15, atol=0)
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40)
     @given(
         c1=st.floats(0.1, 0.9),
         radius=st.floats(0.1, 0.95),
