@@ -12,7 +12,7 @@ the long-time rescaled limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -61,9 +61,12 @@ class CenteredGaussian:
 
     form: SymMatrix
     log_prefactor: float = 0.0
+    # the form's minimum eigenvalue, when the caller already knows it; the
+    # positive definiteness check then needs no eigenvalue solve
+    min_eig: InitVar[float | None] = None
 
-    def __post_init__(self):
-        _require_pd(self.form.min_eigenvalue(), "Gaussian form")
+    def __post_init__(self, min_eig):
+        _require_pd(self.form.min_eigenvalue() if min_eig is None else min_eig, "Gaussian form")
         object.__setattr__(self, "log_prefactor", float(self.log_prefactor))
         if not math.isfinite(self.log_prefactor):
             raise ValueError("log_prefactor must be finite")
@@ -105,7 +108,9 @@ def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None
     ``(1/2) log det(id + 4 t W B)``.  With ``sqrt(W) B sqrt(W) = U diag(mu) U^T``
     the new form is ``M diag(mu / (1 + 4 t mu)) M^T`` for ``M = W^{-1/2} U``
     and the determinant is ``prod (1 + 4 t mu)``, so one eigendecomposition
-    (two with a weight) serves both and large ``t`` stays stable.
+    (two with a weight) serves both and large ``t`` stays stable.  Without a
+    weight ``M`` is orthogonal, so ``mu / (1 + 4 t mu)`` are the new form's
+    eigenvalues and its positive definiteness check needs no second solve.
     """
     if t <= 0:
         raise ValueError("evolution time must be positive")
@@ -122,9 +127,10 @@ def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None
         mu, u = np.linalg.eigh(root @ b @ root)
         m = (v / sqrt_w) @ (v.T @ u)
     spread = 4.0 * t * mu
-    new_form = (m * (mu / (1.0 + spread))) @ m.T
-    log_det = float(np.sum(np.log1p(spread)))
-    return CenteredGaussian(SymMatrix(new_form), g.log_prefactor - 0.5 * log_det)
+    nu = mu / (1.0 + spread)
+    log_det = float(np.log1p(spread).sum())
+    min_eig = float(nu.min()) if a_weight is None else None
+    return CenteredGaussian(SymMatrix((m * nu) @ m.T), g.log_prefactor - 0.5 * log_det, min_eig)
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,36 @@ def _heat_kernel(quad, t: float, dim: int, det_w: float = 1.0):
     return (4.0 * math.pi * t) ** (-dim / 2.0) / math.sqrt(det_w) * np.exp(-quad / (4.0 * t))
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer (``2^a 3^b 5^c``) at or above ``n``, a
+    length that the real FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The linear convolution of ``x`` with an odd-length ``kernel`` of the
+    same number of axes, cut to the centred window of ``x``'s shape.
+
+    Real FFTs run only over the axes where the kernel is longer than one,
+    each zero-padded to a fast length at or above the full convolution
+    length, so nothing wraps around; the other axes broadcast.
+    """
+    axes = [ax for ax, k in enumerate(kernel.shape) if k > 1]
+    lengths = [_fast_len(x.shape[ax] + kernel.shape[ax] - 1) for ax in axes]
+    spectrum = np.fft.rfftn(x, lengths, axes) * np.fft.rfftn(kernel, lengths, axes)
+    full = np.fft.irfftn(spectrum, lengths, axes)
+    starts = [(k - 1) // 2 for k in kernel.shape]
+    return full[tuple(slice(s, s + n) for s, n in zip(starts, x.shape))]
+
+
 def heat_step(f: GridFunction, t: float, a_weight: SymMatrix) -> GridFunction:
     """Evolve grid samples by quadrature convolution with the exact kernel.
 
@@ -200,9 +230,9 @@ def heat_step(f: GridFunction, t: float, a_weight: SymMatrix) -> GridFunction:
 
     A diagonal weight (the identity of every scan) makes the kernel a
     product of 1-D kernels, so the samples are convolved axis by axis, one
-    ``scipy.signal.convolve`` per axis; a one-axis grid takes the single
-    1-D convolution.  Any other weight is convolved with the full 2-D
-    kernel.  FFT rounding can leave values a hair below zero; they are
+    zero-padded real FFT convolution per axis; a one-axis grid takes the
+    single 1-D convolution.  Any other weight is convolved with the full
+    2-D kernel.  FFT rounding can leave values a hair below zero; they are
     clipped to zero once, at the end.
     """
     if t <= 0:
@@ -222,10 +252,6 @@ def heat_step(f: GridFunction, t: float, a_weight: SymMatrix) -> GridFunction:
     h = f.spacing
     cuts = [min(cnt - 1, math.ceil(r_cut / hx)) for hx, cnt in zip(h, f.n)]
     offsets = [np.arange(-m, m + 1) * hx for m, hx in zip(cuts, h)]
-    # imported here: scipy.signal dominates the package's import time, and
-    # only the heat step needs it
-    from scipy import signal
-
     w = a_weight.mat
     if np.array_equal(w, np.diag(np.diag(w))):
         out = f.values
@@ -233,13 +259,13 @@ def heat_step(f: GridFunction, t: float, a_weight: SymMatrix) -> GridFunction:
             kernel = _heat_kernel((1.0 / w[ax, ax]) * z**2, t, 1, w[ax, ax]) * hx
             shape = [1] * f.dim
             shape[ax] = kernel.size
-            out = signal.convolve(out, kernel.reshape(shape), mode="same", method="auto")
+            out = _convolve_same(out, kernel.reshape(shape))
     else:
         w_inv = np.linalg.inv(w)
         z1, z2 = np.meshgrid(*offsets, indexing="ij")
         quad = w_inv[0, 0] * z1**2 + 2.0 * w_inv[0, 1] * z1 * z2 + w_inv[1, 1] * z2**2
         kernel = _heat_kernel(quad, t, 2, np.linalg.det(w)) * f.cell_volume
-        out = signal.convolve(f.values, kernel, mode="same", method="auto")
+        out = _convolve_same(f.values, kernel)
     return GridFunction(f.lo, f.hi, f.n, np.clip(out, 0.0, None))
 
 

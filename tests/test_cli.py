@@ -64,6 +64,15 @@ def grids_file(tmp_path, name="grids.json", scale_f0=1.0):
     return str(path)
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports frbl from this checkout."""
+    src = os.path.dirname(os.path.dirname(frbl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 class TestGen:
     @pytest.mark.parametrize("argv", [
         ["gen", "prekopa-leindler", "--lam", "0.25"],
@@ -419,11 +428,39 @@ class TestContract:
             f"assert main(['sigma', {pl_file!r}, '--out', {str(tmp_path / 's.json')!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        src = os.path.dirname(os.path.dirname(frbl.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
+        done = _run_fresh(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_no_command_imports_scipy(self, pl_file, standard_tuple_file, tmp_path):
+        # numpy is the only runtime dependency: the heat steps of the flow
+        # commands run on numpy's FFT
+        grids = grids_file(tmp_path)
+        xs = np.linspace(-10, 10, 101)
+        g = grid_to_json(GridFunction([-10.0], [10.0], [101], np.exp(-xs**2)))
+        mono = tmp_path / "mono.json"
+        mono.write_text(json.dumps({"g": [g, g]}))
+        lw = str(tmp_path / "lw.json")
+        code = (
+            "import sys, contextlib, io\n"
+            "from frbl.cli import main\n"
+            "runs = [\n"
+            f"    ['check', {pl_file!r}],\n"
+            f"    ['sigma', {pl_file!r}],\n"
+            f"    ['gaussian', {pl_file!r}, {standard_tuple_file!r}, '--op', 'relation'],\n"
+            f"    ['flow-verify', {pl_file!r}, {grids!r}, '--times', '0.1,0.5'],\n"
+            f"    ['gen', 'loomis-whitney-2d', '--out', {lw!r}],\n"
+            f"    ['flow-monotone', {lw!r}, {str(mono)!r}, '--times', '0,0.5',\n"
+            "     '--box-lo=-10,-10', '--box-hi', '10,10', '--box-n', '101,101'],\n"
+            "]\n"
+            "for argv in runs:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    assert code == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        done = _run_fresh(code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 

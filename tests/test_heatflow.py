@@ -189,6 +189,50 @@ class TestHeatStep:
         want = np.clip(signal.convolve(g.values, kern, mode="same", method="auto"), 0, None)
         np.testing.assert_array_equal(heat_step(g, t, I1).values, want)
 
+    def test_fast_len_is_next_five_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        want = [next(m for m in range(n, 2 * n + 1) if smooth(m)) for n in range(1, 5001)]
+        assert [heatflow._fast_len(n) for n in range(1, 5001)] == want
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [(401, 401), (33601,)])
+    def test_identity_weight_is_per_axis_fftconvolve(self, t, n):
+        half = [4.0] * len(n)
+        grid = GridFunction.sample(lambda p: np.exp(-np.sum(p**2, axis=1)),
+                                   [-x for x in half], half, n)
+        want = grid.values
+        for ax, (hx, cnt) in enumerate(zip(grid.spacing, grid.n)):
+            m = min(cnt - 1, math.ceil(8 * math.sqrt(2 * t) / hx))
+            offs = np.arange(-m, m + 1) * hx
+            kern = (4 * math.pi * t) ** -0.5 * np.exp(-(offs**2) / (4 * t)) * hx
+            shape = [1] * len(n)
+            shape[ax] = kern.size
+            want = signal.fftconvolve(want, kern.reshape(shape), mode="same")
+        weight = SymMatrix(np.eye(len(n)))
+        np.testing.assert_array_equal(heat_step(grid, t, weight).values, np.clip(want, 0, None))
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    def test_non_diagonal_weight_is_full_fftconvolve(self, t):
+        w = np.array([[1.0, 0.3], [0.3, 0.8]])
+        grid = GridFunction.sample(lambda p: np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2),
+                                   [-6, -6], [6, 6], [201, 161])
+        h = grid.spacing
+        r_cut = 8 * math.sqrt(2 * t * np.linalg.eigvalsh(w)[-1])
+        m = [min(cnt - 1, math.ceil(r_cut / hx)) for hx, cnt in zip(h, grid.n)]
+        z1, z2 = np.meshgrid(*[np.arange(-mi, mi + 1) * hx for mi, hx in zip(m, h)], indexing="ij")
+        w_inv = np.linalg.inv(w)
+        quad = w_inv[0, 0] * z1**2 + 2 * w_inv[0, 1] * z1 * z2 + w_inv[1, 1] * z2**2
+        kernel = (np.exp(-quad / (4 * t)) / (4 * math.pi * t * math.sqrt(np.linalg.det(w)))
+                  * h[0] * h[1])
+        want = np.clip(signal.fftconvolve(grid.values, kernel, mode="same"), 0, None)
+        ev = heat_step(grid, t, SymMatrix(w))
+        assert np.abs(ev.values - want).max() <= 1e-15 * want.max()
+
     def test_fft_equals_direct_quadrature(self):
         # the fft path is plain zero-padded linear convolution, not a
         # periodic method; on a small grid it must match the direct sum
