@@ -170,6 +170,8 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
+    if args.samples < 1:
+        raise InputError("--samples must be at least 1")
     datum = _load_datum(args.datum)
     tup = _load_tuple(args.tuple)
     try:
@@ -197,12 +199,10 @@ def _gaussian_op(datum, tup, args) -> int:
 
     if args.op == "extremizer":
         cert = check_geometric(datum)
-        comparison: tuple = ()
+        comparison = ()
         if cert.verdict != "geometric":
-            rng = np.random.default_rng(args.seed)
-            comparison = tuple(
-                gc.random_admissible_tuple(datum, rng) for _ in range(args.samples)
-            )
+            comparison = gc.sample_families(datum, np.random.default_rng(args.seed),
+                                            args.samples)
         try:
             verdict = gc.extremizer_check(datum, tup, tol=args.tol,
                                           certificate=cert, comparison=comparison)

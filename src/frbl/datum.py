@@ -249,17 +249,20 @@ def lambda_maps(datum: FrblDatum) -> tuple[SymMatrix, SymMatrix]:
 def embed_blockdiag(dims, blocks) -> np.ndarray:
     """Assemble the block-diagonal matrix with the given square blocks.
 
-    This is the stacked-vector form of ``sum_i pi_i^* B_i pi_i``.
+    This is the stacked-vector form of ``sum_i pi_i^* B_i pi_i``.  Blocks
+    may share leading stack axes, e.g. ``(count, dim, dim)``; the result
+    then carries them too.
     """
     dims = tuple(int(x) for x in dims)
+    blocks = [np.asarray(blk, dtype=float) for blk in blocks]
+    lead = blocks[0].shape[:-2] if blocks else ()
     total = sum(dims)
-    out = np.zeros((total, total))
+    out = np.zeros(lead + (total, total))
     off = 0
-    for dim, blk in zip(dims, blocks, strict=True):
-        b = np.asarray(blk, dtype=float)
-        if b.shape != (dim, dim):
+    for dim, b in zip(dims, blocks, strict=True):
+        if b.shape != lead + (dim, dim):
             raise ValueError(f"block shape {b.shape} does not match factor dim {dim}")
-        out[off : off + dim, off : off + dim] = b
+        out[..., off : off + dim, off : off + dim] = b
         off += dim
     return out
 

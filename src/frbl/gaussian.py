@@ -12,6 +12,7 @@ the long-time rescaled limit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -23,11 +24,13 @@ from .datum import (
     embed_blockdiag,
 )
 from .geometry import GeometricCertificate, check_geometric
-from .linalg import SymMatrix, sqrt_psd
+from .linalg import SymMatrix, mirror_upper, sqrt_psd
 
 __all__ = [
     "CenteredGaussian",
     "ExtremizerVerdict",
+    "FAMILY_BLOCK",
+    "GaussianFamily",
     "GaussianTuple",
     "RelationResult",
     "evolve_tuple",
@@ -42,12 +45,16 @@ __all__ = [
     "random_admissible_tuple",
     "relation_check",
     "rescaled_heat_value",
+    "sample_families",
     "tuple_from_json",
     "tuple_to_json",
 ]
 
 PD_TOL = 1e-12
 DEFAULT_RELATION_TOL = 1e-9
+# members of a sampled comparison family drawn and evaluated at once, so
+# memory stays bounded whatever the family size
+FAMILY_BLOCK = 1024
 
 
 def _require_pd(min_eig: float, what: str) -> None:
@@ -88,10 +95,30 @@ class CenteredGaussian:
         return math.exp(self.log_value(x))
 
 
+def _log_integrals(forms, log_prefactors: np.ndarray) -> np.ndarray:
+    """``l + (n/2) log pi - (1/2) log det(form)`` per factor, for a stack of
+    shape ``()`` or ``(count,)``: forms of shape ``stack + (n_i, n_i)``, all
+    positive definite, and log prefactors of shape ``stack + (factors,)``.
+    One eigenvalue solve per distinct factor dimension."""
+    spread = np.empty(log_prefactors.shape[::-1])  # factors first
+    dims = [form.shape[-1] for form in forms]
+    for dim in sorted(set(dims)):
+        same = [i for i, n in enumerate(dims) if n == dim]
+        w = np.linalg.eigvalsh(np.array([forms[i] for i in same]))
+        _require_pd(float(w.min()), "Gaussian form")
+        spread[same] = dim * math.log(math.pi) - np.log(w).sum(axis=-1)
+    return log_prefactors + 0.5 * spread.T
+
+
+def _fold(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_i weights[i] * values[..., i]``, added left to right in factor
+    order."""
+    return np.add.accumulate(values * weights, axis=-1)[..., -1]
+
+
 def log_gaussian_integral(g: CenteredGaussian) -> float:
     """``log integral = l + (n/2) log pi - (1/2) log det(form)``."""
-    w = np.linalg.eigvalsh(g.form.mat)
-    return g.log_prefactor + 0.5 * (g.space_dim * math.log(math.pi) - float(np.sum(np.log(w))))
+    return float(_log_integrals([g.form.mat], np.array([g.log_prefactor]))[0])
 
 
 def gaussian_integral(g: CenteredGaussian) -> float:
@@ -154,6 +181,60 @@ class GaussianTuple:
         for j, gg in enumerate(self.g):
             if gg.space_dim != layout.out_dims[j]:
                 raise ValueError(f"g[{j}] has dim {gg.space_dim}, expected {layout.out_dims[j]}")
+
+
+@dataclass(frozen=True)
+class GaussianFamily:
+    """``count`` Gaussian tuples stacked factor by factor.
+
+    ``f_forms[i]`` has shape ``(count, n_i, n_i)`` and ``g_forms[j]`` shape
+    ``(count, n^j, n^j)``, every matrix exactly symmetric; ``f_prefs`` and
+    ``g_prefs`` hold the log prefactors, shapes ``(count, k)`` and
+    ``(count, m)``.
+    """
+
+    f_forms: tuple[np.ndarray, ...]
+    g_forms: tuple[np.ndarray, ...]
+    f_prefs: np.ndarray
+    g_prefs: np.ndarray
+
+    @classmethod
+    def of(cls, tuples) -> "GaussianFamily":
+        """Stack GaussianTuples of one layout."""
+        fs = [t.f for t in tuples]
+        gs = [t.g for t in tuples]
+        return cls(
+            tuple(np.array([x.form.mat for x in col]) for col in zip(*fs)),
+            tuple(np.array([x.form.mat for x in col]) for col in zip(*gs)),
+            np.array([[x.log_prefactor for x in row] for row in fs]),
+            np.array([[x.log_prefactor for x in row] for row in gs]),
+        )
+
+    def __len__(self) -> int:
+        return self.f_prefs.shape[0]
+
+    def member(self, s: int) -> GaussianTuple:
+        def unstack(forms, prefs):
+            return tuple(CenteredGaussian(SymMatrix(f[s]), p) for f, p in zip(forms, prefs[s]))
+
+        return GaussianTuple(unstack(self.f_forms, self.f_prefs), unstack(self.g_forms, self.g_prefs))
+
+    def check_layout(self, datum: FrblDatum) -> None:
+        layout = datum.layout
+        count = len(self)
+        want = [(count, n, n) for n in layout.in_dims + layout.out_dims]
+        want += [(count, layout.k), (count, layout.m)]
+        got = [a.shape for a in (*self.f_forms, *self.g_forms, self.f_prefs, self.g_prefs)]
+        if got != want:
+            raise ValueError("family shapes do not match the datum layout")
+
+
+def _unstacked(tup: GaussianTuple) -> tuple:
+    """One tuple as kernel arguments of stack shape ``()``: its own forms,
+    no copies."""
+    return ([x.form.mat for x in tup.f], [x.form.mat for x in tup.g],
+            np.array([x.log_prefactor for x in tup.f]),
+            np.array([x.log_prefactor for x in tup.g]))
 
 
 def tuple_to_json(tup: GaussianTuple) -> dict:
@@ -220,27 +301,41 @@ def relation_check(
     log prefactors.
     """
     tup.check_layout(datum)
-    layout = datum.layout
-    p = embed_blockdiag(
-        layout.in_dims, [ci * gf.form.mat for ci, gf in zip(datum.c, tup.f)]
-    )
-    s = datum.q.T @ embed_blockdiag(
-        layout.out_dims, [dj * gg.form.mat for dj, gg in zip(datum.d, tup.g)]
-    ) @ datum.q
-    min_eig = float(np.linalg.eigvalsh(SymMatrix(p - s).mat)[0])
-    # numpy scalars, so an overflowing difference obeys np.errstate
-    a = sum(ci * gf.log_prefactor for ci, gf in zip(datum.c, tup.f))
-    b = sum(dj * gg.log_prefactor for dj, gg in zip(datum.d, tup.g))
-    gap = float(b - a)
+    min_eig, gap = _relation_gaps(datum, *_unstacked(tup))
+    min_eig, gap = float(min_eig), float(gap)
     return RelationResult(min_eig >= -tol and gap >= -tol, min_eig, gap)
+
+
+def _relation_gaps(datum: FrblDatum, f_forms, g_forms, f_prefs, g_prefs) -> tuple:
+    """Per member of a stack, the minimum eigenvalue of the form gap and the
+    prefactor gap of :class:`RelationResult`, from one batched eigenvalue
+    solve.  Forms have shape ``stack + (n, n)`` and log prefactors
+    ``stack + (factors,)``, the stack of shape ``()`` or ``(count,)``."""
+    layout = datum.layout
+    # (block-diagonal f side) - (pulled-back g side), with the f blocks
+    # added onto the negated pullback in place
+    gap = -(datum.q.T @ embed_blockdiag(
+        layout.out_dims, [dj * g for dj, g in zip(datum.d, g_forms)]
+    ) @ datum.q)
+    off = layout.in_offsets
+    for i, (ci, f) in enumerate(zip(datum.c, f_forms)):
+        gap[..., off[i] : off[i + 1], off[i] : off[i + 1]] += ci * f
+    min_eig = np.linalg.eigvalsh(mirror_upper(gap))[..., 0]
+    return min_eig, _fold(datum.d, g_prefs) - _fold(datum.c, f_prefs)
+
+
+def _log_ratios(datum: FrblDatum, f_forms, g_forms, f_prefs, g_prefs) -> np.ndarray:
+    """Per member of a stack (as for :func:`_relation_gaps`),
+    :func:`log_frbl_ratio`."""
+    logs = _log_integrals([*f_forms, *g_forms], np.concatenate((f_prefs, g_prefs), axis=-1))
+    k = datum.layout.k
+    return _fold(datum.c, logs[..., :k]) - _fold(datum.d, logs[..., k:])
 
 
 def log_frbl_ratio(datum: FrblDatum, tup: GaussianTuple) -> float:
     """``sum c_i log(int f_i) - sum d_j log(int g_j)``."""
     tup.check_layout(datum)
-    num = sum(ci * log_gaussian_integral(gf) for ci, gf in zip(datum.c, tup.f))
-    den = sum(dj * log_gaussian_integral(gg) for dj, gg in zip(datum.d, tup.g))
-    return float(num - den)
+    return float(_log_ratios(datum, *_unstacked(tup)))
 
 
 def frbl_ratio(datum: FrblDatum, tup: GaussianTuple) -> float:
@@ -257,12 +352,30 @@ class ExtremizerVerdict:
     basis: str  # "geometric-constant" | "comparison-family"
 
 
+def _comparison_blocks(
+    datum: FrblDatum, comparison: GaussianFamily | Iterable[GaussianFamily | GaussianTuple]
+) -> Iterator[GaussianFamily]:
+    """The comparison family as stacked blocks: families pass through, loose
+    tuples are stacked once, after the last family."""
+    if isinstance(comparison, GaussianFamily):
+        comparison = (comparison,)
+    tuples = []
+    for item in comparison:
+        item.check_layout(datum)
+        if isinstance(item, GaussianFamily):
+            yield item
+        else:
+            tuples.append(item)
+    if tuples:
+        yield GaussianFamily.of(tuples)
+
+
 def extremizer_check(
     datum: FrblDatum,
     tup: GaussianTuple,
     tol: float = DEFAULT_RELATION_TOL,
     certificate: GeometricCertificate | None = None,
-    comparison: tuple[GaussianTuple, ...] = (),
+    comparison: GaussianFamily | Iterable[GaussianFamily | GaussianTuple] = (),
 ) -> ExtremizerVerdict:
     """Decide whether an admissible Gaussian tuple attains the best constant.
 
@@ -273,6 +386,10 @@ def extremizer_check(
     violating the relation are skipped; the candidate itself is always part
     of the family), and the verdict is attainment of that maximum within
     ``tol``.  No global-optimality claim is made in the comparison case.
+
+    ``comparison`` is a stacked :class:`GaussianFamily`, or an iterable of
+    such blocks (as :func:`sample_families` yields) or of GaussianTuples;
+    each block is judged in one batched pass.
     """
     rel = relation_check(datum, tup, tol)
     if not rel.holds:
@@ -284,15 +401,18 @@ def extremizer_check(
     cert = certificate if certificate is not None else check_geometric(datum)
     if cert.verdict == "geometric":
         return ExtremizerVerdict(abs(own) <= tol, math.exp(own), own, 0.0, "geometric-constant")
-    if not comparison:
+    best, members = own, 0
+    for fam in _comparison_blocks(datum, comparison):
+        parts = (fam.f_forms, fam.g_forms, fam.f_prefs, fam.g_prefs)
+        min_eig, gap = _relation_gaps(datum, *parts)
+        ratios = _log_ratios(datum, *parts)
+        holds = (min_eig >= -tol) & (gap >= -tol)
+        best = max(best, float(ratios[holds].max(initial=-math.inf)))
+        members += len(fam)
+    if not members:
         raise ValueError(
             "datum is not certified geometric; supply a comparison family of tuples"
         )
-    best = own
-    for other in comparison:
-        if not relation_check(datum, other, tol).holds:
-            continue
-        best = max(best, log_frbl_ratio(datum, other))
     return ExtremizerVerdict(own >= best - tol, math.exp(own), own, best, "comparison-family")
 
 
@@ -361,43 +481,85 @@ def rescaled_heat_value(g: CenteredGaussian, a_weight: SymMatrix, x, t: float) -
 def random_admissible_tuple(
     datum: FrblDatum, rng: np.random.Generator
 ) -> GaussianTuple:
-    """Sample a Gaussian tuple satisfying the pointwise relation by construction.
+    """Sample one Gaussian tuple satisfying the pointwise relation by
+    construction; see :func:`sample_families`."""
+    return _sample_family(datum, rng, 1).member(0)
+
+
+def sample_families(
+    datum: FrblDatum, rng: np.random.Generator, count: int
+) -> Iterator[GaussianFamily]:
+    """``count`` admissible tuples from ``rng``, as stacked families of at
+    most :data:`FAMILY_BLOCK` members in draw order.
+
+    The draws are those of ``count`` calls of :func:`random_admissible_tuple`
+    with the same generator, whatever the block size.
+    """
+    for start in range(0, count, FAMILY_BLOCK):
+        fam = _sample_family(datum, rng, min(FAMILY_BLOCK, count - start))
+        for form in fam.f_forms + fam.g_forms:
+            mirror_upper(form)
+        if not np.isfinite(fam.f_prefs).all():
+            raise ValueError("log_prefactor must be finite")
+        yield fam
+
+
+def _sample_family(datum: FrblDatum, rng: np.random.Generator, count: int) -> GaussianFamily:
+    """Sample ``count`` Gaussian tuples satisfying the pointwise relation by
+    construction.
 
     Output forms are drawn freely; input forms are built from the diagonal
     blocks of the pulled-back output form inflated by the factor count,
     which dominates the pullback in the Loewner order, plus a positive
     definite cushion.  Prefactors are split so the weighted g side wins by a
-    positive margin.
+    positive margin.  The loop over samples only draws, in a fixed order per
+    sample; the arithmetic runs on the whole stack.  The forms are returned
+    unchecked and with the rounding asymmetry of the pullback: the callers
+    symmetrize and check them, through ``mirror_upper`` or ``SymMatrix``.
     """
     layout = datum.layout
+    k = layout.k
+    g_raw = [np.empty((count, n, n)) for n in layout.out_dims]
+    f_raw = [np.empty((count, n, n)) for n in layout.in_dims]
+    g_prefs = np.empty((count, layout.m))
+    f_scale = np.empty((count, k))
+    cushion = np.empty(count)
+    margin = np.empty(count)
+    weights = np.empty((count, k))
+    for s in range(count):
+        for raw in g_raw:
+            rng.standard_normal(out=raw[s])
+        g_prefs[s] = rng.normal(scale=0.5, size=layout.m)
+        cushion[s] = rng.uniform(0.05, 0.5)
+        for i, raw in enumerate(f_raw):
+            rng.standard_normal(out=raw[s])
+            f_scale[s, i] = rng.uniform(0.0, 0.5)
+        margin[s] = rng.normal(scale=0.3)
+        weights[s] = rng.uniform(0.2, 1.0, size=k)
 
-    def random_pd(dim: int) -> np.ndarray:
-        m = rng.standard_normal((dim, dim))
-        return m @ m.T / dim + 0.3 * np.eye(dim)
+    def diagonals(stack: np.ndarray) -> np.ndarray:
+        """A writable ``(count, n)`` view of the diagonals of a fresh stack."""
+        return stack.reshape(count, -1)[:, :: stack.shape[-1] + 1]
 
-    g_forms = [random_pd(dim) for dim in layout.out_dims]
-    g_prefs = [float(rng.normal(scale=0.5)) for _ in range(layout.m)]
+    def random_pd(raw: np.ndarray) -> np.ndarray:
+        pd = raw @ raw.swapaxes(-1, -2) / raw.shape[-1]
+        diagonals(pd)[:] += 0.3
+        return pd
+
+    g_forms = [random_pd(raw) for raw in g_raw]
     pulled = datum.q.T @ embed_blockdiag(
         layout.out_dims, [dj * f for dj, f in zip(datum.d, g_forms)]
     ) @ datum.q
-
-    cushion = float(rng.uniform(0.05, 0.5))
     f_forms = []
-    for i in range(layout.k):
+    for i, raw in enumerate(f_raw):
         sl = layout.in_slice(i)
-        dim = layout.in_dims[i]
-        blk = layout.k * pulled[sl, sl] + cushion * np.eye(dim) + random_pd(dim) * float(
-            rng.uniform(0.0, 0.5)
-        )
-        f_forms.append(blk / float(datum.c[i]))
+        # (k P + cushion I) + scale R, adding to the diagonals in that order
+        blk = k * pulled[:, sl, sl]
+        diagonals(blk)[:] += cushion[:, None]
+        blk += random_pd(raw) * f_scale[:, i, None, None]
+        blk /= float(datum.c[i])
+        f_forms.append(blk)
 
-    b = float(sum(dj * p for dj, p in zip(datum.d, g_prefs)))
-    margin = abs(float(rng.normal(scale=0.3))) + 1e-3
-    weights = rng.uniform(0.2, 1.0, size=layout.k)
-    weights /= weights.sum()
-    f_prefs = [(b - margin) * wi / float(ci) for wi, ci in zip(weights, datum.c)]
-
-    return GaussianTuple(
-        tuple(CenteredGaussian(SymMatrix(f), p) for f, p in zip(f_forms, f_prefs)),
-        tuple(CenteredGaussian(SymMatrix(f), p) for f, p in zip(g_forms, g_prefs)),
-    )
+    weights /= weights.sum(axis=1, keepdims=True)
+    f_prefs = (_fold(datum.d, g_prefs) - (np.abs(margin) + 1e-3))[:, None] * weights / datum.c
+    return GaussianFamily(tuple(f_forms), tuple(g_forms), f_prefs, g_prefs)

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_LOEWNER_TOL",
     "SymMatrix",
+    "mirror_upper",
     "psd_project",
     "sqrt_psd",
 ]
@@ -28,8 +29,23 @@ PSD_TOL = 1e-10
 
 
 @functools.lru_cache(maxsize=64)
-def _strict_lower(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.tril_indices(dim, -1)
+def _strict_lower(dim: int) -> np.ndarray:
+    return np.tri(dim, k=-1, dtype=bool)
+
+
+def mirror_upper(m: np.ndarray) -> np.ndarray:
+    """Mirror the upper triangle of every trailing square matrix of the
+    writable float array ``m`` (shape ``(..., n, n)``) onto its lower one,
+    in place, and return ``m``.
+
+    Non-finite entries raise; -0.0 becomes +0.0, so equal matrices have
+    equal bytes.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must all be finite")
+    m += 0.0
+    np.copyto(m, m.swapaxes(-1, -2), where=_strict_lower(m.shape[-1]))
+    return m
 
 
 class SymMatrix:
@@ -46,12 +62,7 @@ class SymMatrix:
         m = np.array(entries, dtype=float, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must all be finite")
-        m += 0.0  # -0.0 becomes +0.0, so equal matrices have equal bytes
-        lower = _strict_lower(m.shape[0])
-        m[lower] = m.T[lower]
-        m.setflags(write=False)
+        mirror_upper(m).setflags(write=False)
         self.mat = m
 
     @classmethod

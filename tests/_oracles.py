@@ -5,7 +5,8 @@ eigenvalues from the characteristic polynomial, trapezoid quadrature of
 the heat convolution integral, a defect scan over the whole node set
 at once (it shares only the heat step with the library), and the sigma
 constraints built entry by entry, which re-check a separator from the
-datum alone.
+datum alone, and the Gaussian tuple sampler, relation check and ratio one
+tuple and one factor at a time, the reference for the stacked families.
 """
 
 import math
@@ -196,3 +197,85 @@ def dense_verify_preservation(datum, f_grids, g_grids, times, tol=1e-4, shift=0.
         holds=bool(holds),
         fields=tuple(fields) if collect_fields else None,
     )
+
+
+def _blockdiag(dims, blocks) -> np.ndarray:
+    total = sum(dims)
+    out = np.zeros((total, total))
+    off = 0
+    for dim, blk in zip(dims, blocks):
+        out[off : off + dim, off : off + dim] = blk
+        off += dim
+    return out
+
+
+def _mirrored(m) -> np.ndarray:
+    """``m`` with its upper triangle copied onto the lower one, and +0.0 for
+    -0.0, as frbl stores every symmetric matrix."""
+    m = np.array(m, dtype=float) + 0.0
+    lower = np.tril_indices(m.shape[0], -1)
+    m[lower] = m.T[lower]
+    return m
+
+
+def admissible_tuple(datum, rng: np.random.Generator):
+    """Draw one Gaussian tuple satisfying the pointwise relation, one factor
+    at a time: the reference for frbl's stacked sampler, draw for draw.
+
+    Returns ``(f, g)``, lists of ``(form, log_prefactor)`` pairs.
+    """
+    layout = datum.layout
+
+    def random_pd(dim: int) -> np.ndarray:
+        m = rng.standard_normal((dim, dim))
+        return m @ m.T / dim + 0.3 * np.eye(dim)
+
+    g_forms = [random_pd(dim) for dim in layout.out_dims]
+    g_prefs = [float(rng.normal(scale=0.5)) for _ in range(layout.m)]
+    pulled = datum.q.T @ _blockdiag(
+        layout.out_dims, [dj * f for dj, f in zip(datum.d, g_forms)]
+    ) @ datum.q
+
+    cushion = float(rng.uniform(0.05, 0.5))
+    f_forms = []
+    for i in range(layout.k):
+        sl = layout.in_slice(i)
+        dim = layout.in_dims[i]
+        blk = layout.k * pulled[sl, sl] + cushion * np.eye(dim) + random_pd(dim) * float(
+            rng.uniform(0.0, 0.5)
+        )
+        f_forms.append(blk / float(datum.c[i]))
+
+    b = float(sum(dj * p for dj, p in zip(datum.d, g_prefs)))
+    margin = abs(float(rng.normal(scale=0.3))) + 1e-3
+    weights = rng.uniform(0.2, 1.0, size=layout.k)
+    weights /= weights.sum()
+    f_prefs = [(b - margin) * wi / float(ci) for wi, ci in zip(weights, datum.c)]
+    return ([(_mirrored(f), float(p)) for f, p in zip(f_forms, f_prefs)],
+            [(_mirrored(f), float(p)) for f, p in zip(g_forms, g_prefs)])
+
+
+def relation_gaps(datum, f, g) -> tuple[float, float]:
+    """Minimum eigenvalue of the form gap and the prefactor gap of the
+    pointwise relation, for ``(form, log_prefactor)`` pairs."""
+    layout = datum.layout
+    p = _blockdiag(layout.in_dims, [ci * form for ci, (form, _) in zip(datum.c, f)])
+    s = datum.q.T @ _blockdiag(
+        layout.out_dims, [dj * form for dj, (form, _) in zip(datum.d, g)]
+    ) @ datum.q
+    min_eig = float(np.linalg.eigvalsh(_mirrored(p - s))[0])
+    a = sum(ci * lp for ci, (_, lp) in zip(datum.c, f))
+    b = sum(dj * lp for dj, (_, lp) in zip(datum.d, g))
+    return min_eig, float(b - a)
+
+
+def log_ratio(datum, f, g) -> float:
+    """``sum c_i log int f_i - sum d_j log int g_j`` for ``(form,
+    log_prefactor)`` pairs, one eigenvalue solve per factor."""
+    def log_integral(form, lp):
+        w = np.linalg.eigvalsh(form)
+        return lp + 0.5 * (form.shape[0] * math.log(math.pi) - float(np.sum(np.log(w))))
+
+    num = sum(ci * log_integral(*fi) for ci, fi in zip(datum.c, f))
+    den = sum(dj * log_integral(*gj) for dj, gj in zip(datum.d, g))
+    return float(num - den)

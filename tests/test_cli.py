@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,7 +16,7 @@ from frbl.datum import datum_from_json, datum_to_json
 from frbl.heatflow import GridFunction, grid_to_json
 from frbl.instances import prekopa_leindler
 
-from _oracles import separator_verifies
+from _oracles import admissible_tuple, log_ratio, relation_gaps, separator_verifies
 
 HARD = {"in_dims": [1, 1], "out_dims": [1], "c": [0.5, 0.5], "d": [1.0], "Q": [[0.6, 0.3]]}
 
@@ -210,6 +211,59 @@ class TestGaussian:
         report = json.loads(capsys.readouterr().out)
         assert report["is_extremizer"] is True
         assert report["basis"] == "geometric-constant"
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_two(self, negative_file, standard_tuple_file, samples,
+                                        capsys):
+        code = main(["gaussian", negative_file, standard_tuple_file, "--op", "extremizer",
+                     "--samples", samples])
+        assert code == 2
+        assert "error: --samples must be at least 1" in capsys.readouterr().err
+
+    @staticmethod
+    def _weak_tuple_file(tmp_path):
+        # f forms 16 against g form 1: admissible on the control datum, with
+        # ratio 1/4, below most sampled tuples
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps({
+            "f": [{"log_prefactor": 0.0, "form": [[16.0]]}] * 2,
+            "g": [{"log_prefactor": 0.0, "form": [[1.0]]}],
+        }))
+        return str(path)
+
+    def test_sampled_extremizer_matches_reference_family(self, negative_file, tmp_path, capsys):
+        code = main(["gaussian", negative_file, self._weak_tuple_file(tmp_path),
+                     "--op", "extremizer", "--seed", "11", "--samples", "32"])
+        report = json.loads(capsys.readouterr().out)
+        datum = datum_from_json(json.loads(open(negative_file).read()))
+        rng = np.random.default_rng(11)
+        family = [admissible_tuple(datum, rng) for _ in range(32)]
+        admissible = [tup for tup in family
+                      if min(relation_gaps(datum, *tup)) >= -report["tol"]]
+        best = max(log_ratio(datum, *tup) for tup in admissible)
+        assert report["basis"] == "comparison-family" and report["seed"] == 11
+        assert report["log_ratio"] == pytest.approx(math.log(0.25), abs=1e-12)
+        assert report["reference_log_ratio"] == best > report["log_ratio"]
+        assert report["is_extremizer"] is False and code == 1
+
+    def test_eigvalsh_calls_do_not_grow_with_samples(self, negative_file, tmp_path, capsys,
+                                                     monkeypatch):
+        counted = np.linalg.eigvalsh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        tup = self._weak_tuple_file(tmp_path)
+        counts = []
+        for samples in ("8", "64"):
+            calls.clear()
+            main(["gaussian", negative_file, tup, "--op", "extremizer", "--samples", samples])
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1] > 0
 
     def test_geometrize(self, negative_file, tmp_path, capsys):
         tup = tmp_path / "weights.json"

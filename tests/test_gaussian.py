@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from frbl import gaussian
 from frbl.datum import make_datum
 from frbl.gaussian import (
     CenteredGaussian,
+    GaussianFamily,
     GaussianTuple,
     evolve_tuple,
     extremizer_check,
@@ -22,6 +24,7 @@ from frbl.gaussian import (
     random_admissible_tuple,
     relation_check,
     rescaled_heat_value,
+    sample_families,
     tuple_from_json,
     tuple_to_json,
 )
@@ -29,7 +32,15 @@ from frbl.geometry import check_geometric, check_loewner
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
-from _oracles import eig2x2, heat_quadrature_1d, heat_quadrature_2d, random_psd
+from _oracles import (
+    admissible_tuple,
+    eig2x2,
+    heat_quadrature_1d,
+    heat_quadrature_2d,
+    log_ratio,
+    random_psd,
+    relation_gaps,
+)
 
 
 def standard_tuple(datum):
@@ -464,3 +475,123 @@ class TestWeightedFlowCharacterization:
             for t in (0.1, 1.0, 10.0):
                 evolved = evolve_tuple(tup, t, self.IN_WEIGHTS, self.OUT_WEIGHTS)
                 assert relation_check(self.DATUM, evolved).holds
+
+
+CONTROL = make_datum((1, 1), (1,), (0.5, 0.5), (1.0,), [[1.0, 1.0]])
+
+
+def _family_layouts():
+    """Non-geometric layouts with 1-, 2- and 3-dimensional factors, one and
+    two outputs."""
+    q = np.random.default_rng(5).standard_normal((5, 6))
+    return {
+        "control": CONTROL,
+        "two-outputs": make_datum((2,), (1, 1), (1.0,), (1.0, 1.0), [[1.0, 0.3], [0.2, 1.1]]),
+        "mixed": make_datum((1, 2, 3), (3, 2), (1.0, 0.5, 0.5), (0.5, 1.0), q),
+    }
+
+
+def _pairs(fam, s):
+    """Member ``s`` of a stacked family as ``(form, log_prefactor)`` pairs."""
+    return ([(f[s], p) for f, p in zip(fam.f_forms, fam.f_prefs[s])],
+            [(g[s], p) for g, p in zip(fam.g_forms, fam.g_prefs[s])])
+
+
+def _one_dim_tuple(f_form, g_form, f_pref=0.0):
+    return GaussianTuple(
+        (CenteredGaussian(SymMatrix([[f_form]]), f_pref),) * 2,
+        (CenteredGaussian(SymMatrix([[g_form]])),),
+    )
+
+
+class TestStackedFamily:
+    """The stacked sampler and kernels against the one-tuple-at-a-time
+    reference in ``_oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("layout", sorted(_family_layouts()))
+    def test_family_matches_reference_sampler(self, layout, seed):
+        datum = _family_layouts()[layout]
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [admissible_tuple(datum, ref_rng) for _ in range(40)]
+        (fam,) = sample_families(datum, rng, 40)
+        assert len(fam) == 40
+        for s, (f, g) in enumerate(want):
+            for (form, pref), (want_form, want_pref) in zip(sum(_pairs(fam, s), []), f + g,
+                                                            strict=True):
+                assert form.tobytes() == want_form.tobytes()
+                assert pref == want_pref
+        # the one-tuple sampler is the family of one, and continues the draws
+        tup = random_admissible_tuple(datum, rng)
+        f, g = admissible_tuple(datum, ref_rng)
+        for got, (want_form, want_pref) in zip(tup.f + tup.g, f + g, strict=True):
+            assert got.form.mat.tobytes() == want_form.tobytes()
+            assert got.log_prefactor == want_pref
+
+    @pytest.mark.parametrize("layout", sorted(_family_layouts()))
+    def test_kernels_match_reference(self, layout):
+        datum = _family_layouts()[layout]
+        (drawn,) = sample_families(datum, np.random.default_rng(7), 30)
+        # f forms shrunk on every other member break the relation there
+        scale = np.where(np.arange(len(drawn)) % 2 == 0, 0.3, 1.0)[:, None, None]
+        shrunk = GaussianFamily(tuple(scale * f for f in drawn.f_forms), drawn.g_forms,
+                                drawn.f_prefs, drawn.g_prefs)
+        for fam in (drawn, shrunk):
+            parts = (fam.f_forms, fam.g_forms, fam.f_prefs, fam.g_prefs)
+            min_eig, gap = gaussian._relation_gaps(datum, *parts)
+            ratios = gaussian._log_ratios(datum, *parts)
+            for s in range(len(fam)):
+                f, g = _pairs(fam, s)
+                assert (min_eig[s], gap[s]) == relation_gaps(datum, f, g)
+                assert ratios[s] == log_ratio(datum, f, g)
+                rel = relation_check(datum, fam.member(s))
+                assert (rel.form_gap_min_eig, rel.prefactor_gap) == relation_gaps(datum, f, g)
+                assert log_frbl_ratio(datum, fam.member(s)) == log_ratio(datum, f, g)
+        holds = (min_eig >= -1e-9) & (gap >= -1e-9)  # of the shrunk family
+        assert holds.any() and not holds.all()
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_block_size_leaves_verdict_unchanged(self, block, monkeypatch):
+        candidate = _one_dim_tuple(16.0, 1.0)
+
+        def verdict():
+            families = sample_families(CONTROL, np.random.default_rng(3), 64)
+            return extremizer_check(CONTROL, candidate, comparison=families)
+
+        want = verdict()
+        monkeypatch.setattr(gaussian, "FAMILY_BLOCK", block)
+        sizes = [len(f) for f in sample_families(CONTROL, np.random.default_rng(3), 64)]
+        assert sizes == [block] * (64 // block) + ([64 % block] if 64 % block else [])
+        assert verdict() == want
+
+    def test_family_and_tuples_give_one_verdict(self):
+        tuples = [random_admissible_tuple(CONTROL, np.random.default_rng(s)) for s in range(12)]
+        candidate = tuples[0]
+        want = extremizer_check(CONTROL, candidate, comparison=tuples)
+        assert extremizer_check(CONTROL, candidate, comparison=GaussianFamily.of(tuples)) == want
+        halves = [GaussianFamily.of(tuples[:5]), GaussianFamily.of(tuples[5:])]
+        assert extremizer_check(CONTROL, candidate, comparison=halves) == want
+
+    def test_members_violating_the_relation_are_skipped(self):
+        # f forms 1 against g form 1 violate b <= a / 4, with ratio 1 above
+        # every admissible one (at most 1/2)
+        best = _one_dim_tuple(4.0, 1.0)
+        violating = _one_dim_tuple(1.0, 1.0)
+        assert not relation_check(CONTROL, violating).holds
+        family = GaussianFamily.of([_one_dim_tuple(1.0, 1 / 8), violating])
+        verdict = extremizer_check(CONTROL, best, comparison=family)
+        assert verdict.is_extremizer
+        assert verdict.reference_log_ratio == pytest.approx(math.log(0.5), abs=1e-12)
+
+    def test_indefinite_member_is_rejected(self):
+        fam = GaussianFamily.of([_one_dim_tuple(4.0, 1.0)] * 2)
+        bad = GaussianFamily((fam.f_forms[0], -fam.f_forms[1]), fam.g_forms,
+                             fam.f_prefs, fam.g_prefs)
+        with pytest.raises(ValueError, match="positive definite"):
+            extremizer_check(CONTROL, _one_dim_tuple(4.0, 1.0), comparison=bad)
+
+    def test_family_layout_is_checked(self):
+        fam = GaussianFamily.of([_one_dim_tuple(4.0, 1.0)])
+        with pytest.raises(ValueError, match="layout"):
+            extremizer_check(young_frame(), standard_tuple(young_frame()),
+                             certificate=check_geometric(CONTROL), comparison=fam)
