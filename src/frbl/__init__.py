@@ -3,127 +3,20 @@
 Certifies the geometric property of a datum, computes Gaussian quantities
 in closed form, and numerically demonstrates heat-flow preservation of the
 pointwise relation together with the resulting best constant of one.
+
+The package exports the public names of its modules, each listed in that
+module's ``__all__``.
 """
 
-from .datum import (
-    DatumValidationError,
-    EquivalenceTransform,
-    FrblDatum,
-    SpaceLayout,
-    apply_equivalence,
-    compose_transforms,
-    datum_from_json,
-    datum_to_json,
-    lambda_maps,
-    make_datum,
-    transform_from_json,
-    transform_to_json,
-    validate_datum,
-)
-from .gaussian import (
-    CenteredGaussian,
-    ExtremizerVerdict,
-    GaussianTuple,
-    RelationResult,
-    evolve_tuple,
-    extremizer_check,
-    frbl_ratio,
-    gaussian_integral,
-    geometrize_from_extremizers,
-    heat_evolve,
-    log_frbl_ratio,
-    log_gaussian_integral,
-    long_time_limit,
-    random_admissible_tuple,
-    relation_check,
-    rescaled_heat_value,
-    tuple_from_json,
-    tuple_to_json,
-)
-from .geometry import (
-    GeometricCertificate,
-    SigmaSearchResult,
-    check_geometric,
-    check_loewner,
-    find_sigma,
-    marginal_residuals,
-    verify_adjoint_contraction,
-    verify_trace_implication,
-)
-from .heatflow import (
-    DefectField,
-    GridFunction,
-    PreservationPreconditionError,
-    default_integration_box,
-    discrete_mass,
-    extract_constant,
-    grid_from_json,
-    grid_to_json,
-    heat_step,
-    monotone_functional,
-    verify_preservation,
-)
-from .instances import holder, loomis_whitney_2d, prekopa_leindler, young_frame
-from .linalg import SymMatrix, psd_project, sqrt_psd
+from . import datum, gaussian, geometry, heatflow, instances, linalg
+from .datum import *  # noqa: F403
+from .gaussian import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .heatflow import *  # noqa: F403
+from .instances import *  # noqa: F403
+from .linalg import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CenteredGaussian",
-    "DatumValidationError",
-    "DefectField",
-    "EquivalenceTransform",
-    "ExtremizerVerdict",
-    "FrblDatum",
-    "GaussianTuple",
-    "GeometricCertificate",
-    "GridFunction",
-    "PreservationPreconditionError",
-    "RelationResult",
-    "SigmaSearchResult",
-    "SpaceLayout",
-    "SymMatrix",
-    "apply_equivalence",
-    "check_geometric",
-    "check_loewner",
-    "compose_transforms",
-    "datum_from_json",
-    "datum_to_json",
-    "default_integration_box",
-    "discrete_mass",
-    "evolve_tuple",
-    "extract_constant",
-    "extremizer_check",
-    "find_sigma",
-    "frbl_ratio",
-    "gaussian_integral",
-    "geometrize_from_extremizers",
-    "grid_from_json",
-    "grid_to_json",
-    "heat_evolve",
-    "heat_step",
-    "holder",
-    "lambda_maps",
-    "log_frbl_ratio",
-    "log_gaussian_integral",
-    "long_time_limit",
-    "loomis_whitney_2d",
-    "make_datum",
-    "marginal_residuals",
-    "monotone_functional",
-    "prekopa_leindler",
-    "psd_project",
-    "random_admissible_tuple",
-    "relation_check",
-    "rescaled_heat_value",
-    "sqrt_psd",
-    "transform_from_json",
-    "transform_to_json",
-    "tuple_from_json",
-    "tuple_to_json",
-    "validate_datum",
-    "verify_adjoint_contraction",
-    "verify_preservation",
-    "verify_trace_implication",
-    "young_frame",
-]
+__all__ = [name for module in (datum, gaussian, geometry, heatflow, instances, linalg)
+           for name in module.__all__]

@@ -18,6 +18,7 @@ diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -25,12 +26,14 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
+from . import datum as dm
 from . import gaussian as gc
 from . import heatflow as hf
-from .datum import datum_from_json, datum_to_json, transform_to_json
+from .datum import datum_to_json, transform_to_json
 from .geometry import check_geometric, find_sigma
 from .instances import INSTANCE_NAMES, generate
 
@@ -54,36 +57,42 @@ def _configure_logging() -> None:
                                 format="%(name)s %(levelname)s %(message)s")
 
 
-def _load_json(path: str):
+@contextlib.contextmanager
+def _input_errors(prefix: str = "", kinds=(ValueError,)):
+    """Turn an exception of the ``kinds`` raised inside the block into an
+    :class:`InputError` whose message is ``prefix`` followed by its own."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+        yield
+    except kinds as exc:
+        raise InputError(f"{prefix}{exc}") from exc
+
+
+def _load_json(path: str):
+    # ValueError covers malformed JSON and bytes that are not UTF-8
+    with _input_errors(f"cannot read JSON from {path}: ", (OSError, ValueError)), \
+            open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _load(path: str, what: str, parse):
+    """``parse`` of the JSON in ``path``; any failure is an input error."""
+    obj = _load_json(path)
+    with _input_errors(f"invalid {what} in {path}: ", (KeyError, ValueError, TypeError,
+                                                        OverflowError)):
+        return parse(obj)
 
 
 def _load_datum(path: str):
-    try:
-        return datum_from_json(_load_json(path))
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"invalid datum in {path}: {exc}") from exc
-
-
-def _load_tuple(path: str):
-    try:
-        return gc.tuple_from_json(_load_json(path))
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"invalid Gaussian tuple in {path}: {exc}") from exc
+    # looked up through the module on every call, so a wrapper set there is seen
+    return _load(path, "datum", dm.validate_datum)
 
 
 def _load_grids(path: str, need_f: bool = True):
-    obj = _load_json(path)
-    try:
+    def parse(obj):
         g_grids = [hf.grid_from_json(g) for g in obj["g"]]
-        f_grids = [hf.grid_from_json(g) for g in obj["f"]] if need_f else []
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"invalid grids file {path}: {exc}") from exc
-    return f_grids, g_grids
+        return [hf.grid_from_json(g) for g in obj["f"]] if need_f else [], g_grids
+
+    return _load(path, "grids", parse)
 
 
 def _finite_or_null(obj):
@@ -97,37 +106,34 @@ def _finite_or_null(obj):
     return obj
 
 
+def _write(out: str | None, write) -> None:
+    """``write(stream)`` into the file ``out``, or to stdout without one."""
+    if out:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+    else:
+        write(sys.stdout)
+
+
 def _emit(payload, out: str | None) -> None:
     text = json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(out, lambda fh: fh.write(text + "\n"))
 
 
 def _write_csv(rows, out: str | None) -> None:
-    if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-    else:
-        csv.writer(sys.stdout).writerows(rows)
+    _write(out, lambda fh: csv.writer(fh).writerows(rows))
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
-    try:
+    with _input_errors(f"cannot parse {what} {text!r}: "):
         return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"cannot parse {what}: {text!r}") from exc
 
 
 def _cmd_gen(args) -> int:
     weights = _parse_floats(args.weights, "--weights") if args.weights else None
-    try:
+    with _input_errors(kinds=(ValueError, OSError)):
         datum = generate(args.name, lam=args.lam, weights=weights, dim=args.dim,
                          path=args.path)
-    except (ValueError, OSError) as exc:
-        raise InputError(str(exc)) from exc
     _emit(datum_to_json(datum), args.out)
     return EXIT_OK
 
@@ -135,11 +141,9 @@ def _cmd_gen(args) -> int:
 def _in_range(fn, datum, **kwargs):
     """Run a certification or Gaussian step; input whose magnitudes overflow
     double precision on the way is an input error, not a verdict."""
-    try:
-        with np.errstate(over="raise"):
-            return fn(datum, **kwargs)
-    except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
-        raise InputError(f"input out of numerical range: {exc}") from exc
+    kinds = (FloatingPointError, ValueError, np.linalg.LinAlgError)
+    with _input_errors("input out of numerical range: ", kinds), np.errstate(over="raise"):
+        return fn(datum, **kwargs)
 
 
 def _cmd_check(args) -> int:
@@ -153,19 +157,7 @@ def _cmd_check(args) -> int:
 def _cmd_sigma(args) -> int:
     datum = _load_datum(args.datum)
     result = _in_range(find_sigma, datum, tol=args.tol, max_iter=args.max_iter)
-    report = {
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "status": result.status,
-        "sigma": None if result.sigma is None else result.sigma.mat.tolist(),
-        "separator": None if result.separator is None else result.separator.mat.tolist(),
-        "sigma_min_eig": result.sigma_min_eig,
-        "residual_in": result.residual_in,
-        "residual_out": result.residual_out,
-        "iterations": result.iterations,
-        "reason": result.reason,
-    }
-    _emit(report, args.out)
+    _emit({"tol": args.tol, "max_iter": args.max_iter, **result.to_json()}, args.out)
     return EXIT_OK if result.status == "found" else EXIT_FAIL
 
 
@@ -173,20 +165,16 @@ def _cmd_gaussian(args) -> int:
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
     datum = _load_datum(args.datum)
-    tup = _load_tuple(args.tuple)
-    try:
+    tup = _load(args.tuple, "Gaussian tuple", gc.tuple_from_json)
+    with _input_errors():
         tup.check_layout(datum)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     return _in_range(_gaussian_op, datum, tup=tup, args=args)
 
 
 def _gaussian_op(datum, tup, args) -> int:
     if args.op == "relation":
         rel = gc.relation_check(datum, tup, tol=args.tol)
-        _emit({"tol": args.tol, "holds": rel.holds,
-               "form_gap_min_eig": rel.form_gap_min_eig,
-               "prefactor_gap": rel.prefactor_gap}, args.out)
+        _emit({"tol": args.tol, **asdict(rel)}, args.out)
         return EXIT_OK if rel.holds else EXIT_FAIL
 
     if args.op == "ratio":
@@ -203,27 +191,19 @@ def _gaussian_op(datum, tup, args) -> int:
         if cert.verdict != "geometric":
             comparison = gc.sample_families(datum, np.random.default_rng(args.seed),
                                             args.samples)
-        try:
+        with _input_errors():
             verdict = gc.extremizer_check(datum, tup, tol=args.tol,
                                           certificate=cert, comparison=comparison)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        _emit({"tol": args.tol, "seed": args.seed,
-               "is_extremizer": verdict.is_extremizer, "ratio": verdict.ratio,
-               "log_ratio": verdict.log_ratio,
-               "reference_log_ratio": verdict.reference_log_ratio,
-               "basis": verdict.basis}, args.out)
+        _emit({"tol": args.tol, "seed": args.seed, **asdict(verdict)}, args.out)
         return EXIT_OK if verdict.is_extremizer else EXIT_FAIL
 
     # geometrize: the tuple's form matrices are taken as the heat weights
-    try:
+    with _input_errors():
         transform, transformed, cert = gc.geometrize_from_extremizers(
             datum,
             [g.form for g in tup.f],
             [g.form for g in tup.g],
         )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     _emit({"transform": transform_to_json(transform),
            "datum": datum_to_json(transformed),
            "certificate": cert.to_json()}, args.out)
@@ -265,15 +245,14 @@ def _cmd_flow_monotone(args) -> int:
     if args.box_lo or args.box_hi or args.box_n:
         if not (args.box_lo and args.box_hi and args.box_n):
             raise InputError("--box-lo, --box-hi and --box-n must be given together")
-        box = (
-            tuple(_parse_floats(args.box_lo, "--box-lo")),
-            tuple(_parse_floats(args.box_hi, "--box-hi")),
-            tuple(int(x) for x in _parse_floats(args.box_n, "--box-n")),
-        )
-    try:
+        with _input_errors("--box-n must hold integers: ", (ValueError, OverflowError)):
+            box = (
+                tuple(_parse_floats(args.box_lo, "--box-lo")),
+                tuple(_parse_floats(args.box_hi, "--box-hi")),
+                tuple(int(x) for x in _parse_floats(args.box_n, "--box-n")),
+            )
+    with _input_errors():
         series = hf.monotone_functional(datum, g_grids, times, box=box)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     _write_csv([["t", "Q"]] + [[t, q] for t, q in series], args.out)
     if args.assert_monotone is not None:
         slack = args.assert_monotone
@@ -300,19 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("check", help="run the full geometric certification")
-    p.add_argument("datum")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50_000)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("sigma", help="run only the feasibility search for sigma")
-    p.add_argument("datum")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50_000)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sigma)
+    for name, what, func in (("check", "run the full geometric certification", _cmd_check),
+                             ("sigma", "run only the feasibility search for sigma", _cmd_sigma)):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("datum")
+        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--max-iter", type=int, default=50_000)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gaussian", help="closed-form checks on a Gaussian tuple")
     p.add_argument("datum")

@@ -12,22 +12,20 @@ factors.  Factors are identified with stacked column-vector segments, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-
-from .linalg import SymMatrix
 
 __all__ = [
     "DatumValidationError",
     "EquivalenceTransform",
     "FrblDatum",
+    "MAX_DIM",
     "SpaceLayout",
     "apply_equivalence",
     "compose_transforms",
-    "datum_from_json",
     "datum_to_json",
     "embed_blockdiag",
-    "lambda_maps",
     "make_datum",
     "transform_from_json",
     "transform_to_json",
@@ -40,6 +38,11 @@ SCALING_TOL = 1e-12
 
 # A transform block with |det| at or below this is treated as singular.
 DET_TOL = 1e-12
+
+# Largest total dimension of the input sum and of the output sum.  The sigma
+# search's constraint matrix grows like the fourth power of the dimension,
+# so a small file must not be able to ask for a huge one.
+MAX_DIM = 32
 
 
 class DatumValidationError(ValueError):
@@ -57,8 +60,11 @@ class DatumValidationError(ValueError):
 def _as_dim_tuple(dims, label: str, violations: list[str]) -> tuple[int, ...]:
     out = []
     for x in dims:
-        xi = int(x)
-        if xi != x or xi < 1:
+        try:
+            xi = int(x)
+        except (TypeError, ValueError, OverflowError):
+            xi = None
+        if xi is None or xi != x or xi < 1:
             violations.append(f"{label} must be positive integers, got {x!r}")
             return ()
         out.append(xi)
@@ -72,7 +78,8 @@ class SpaceLayout:
     """Dimension layout of the input factors E_i and output factors E^j.
 
     Offsets are prefix sums of the factor dimensions and index the stacked
-    column-vector representation of the direct sums.
+    column-vector representation of the direct sums.  Each sum has
+    dimension at most :data:`MAX_DIM`.
     """
 
     in_dims: tuple[int, ...]
@@ -80,8 +87,11 @@ class SpaceLayout:
 
     def __post_init__(self):
         violations: list[str] = []
-        object.__setattr__(self, "in_dims", _as_dim_tuple(self.in_dims, "in_dims", violations))
-        object.__setattr__(self, "out_dims", _as_dim_tuple(self.out_dims, "out_dims", violations))
+        for name, total in (("in_dims", "dim_in"), ("out_dims", "dim_out")):
+            dims = _as_dim_tuple(getattr(self, name), name, violations)
+            object.__setattr__(self, name, dims)
+            if sum(dims) > MAX_DIM:
+                violations.append(f"{total} = {sum(dims)} exceeds the cap MAX_DIM = {MAX_DIM}")
         if violations:
             raise DatumValidationError(violations)
 
@@ -103,17 +113,11 @@ class SpaceLayout:
 
     @property
     def in_offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for d in self.in_dims:
-            out.append(out[-1] + d)
-        return tuple(out)
+        return tuple(accumulate(self.in_dims, initial=0))
 
     @property
     def out_offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for d in self.out_dims:
-            out.append(out[-1] + d)
-        return tuple(out)
+        return tuple(accumulate(self.out_dims, initial=0))
 
     def in_slice(self, i: int) -> slice:
         off = self.in_offsets
@@ -122,6 +126,21 @@ class SpaceLayout:
     def out_slice(self, j: int) -> slice:
         off = self.out_offsets
         return slice(off[j], off[j + 1])
+
+    def check_shapes(self, what: str, in_shapes=None, out_shapes=None, shape=None) -> None:
+        """Raise ``ValueError`` unless ``in_shapes`` and ``out_shapes`` hold
+        one shape per input and per output factor, ``shape(n)`` for a factor
+        of dimension ``n`` (``(n, n)`` by default).  A side given as
+        ``None`` is not checked."""
+        for side, shapes, dims in (("input", in_shapes, self.in_dims),
+                                   ("output", out_shapes, self.out_dims)):
+            if shapes is None:
+                continue
+            got = [tuple(s) for s in shapes]
+            want = [shape(n) if shape else (n, n) for n in dims]
+            if got != want:
+                raise ValueError(f"{what}: the list of {side} shapes {got} does not match "
+                                 f"the datum layout, which needs {want}")
 
 
 @dataclass(frozen=True)
@@ -145,14 +164,12 @@ class FrblDatum:
         if q.ndim == 1:
             q = q.reshape(1, -1)
 
-        if c.shape != (self.layout.k,):
-            violations.append(f"c must have length k={self.layout.k}, got {c.shape}")
-        elif not np.all(np.isfinite(c)) or np.any(c <= 0):
-            violations.append("all weights c_i must be positive and finite")
-        if d.shape != (self.layout.m,):
-            violations.append(f"d must have length m={self.layout.m}, got {d.shape}")
-        elif not np.all(np.isfinite(d)) or np.any(d <= 0):
-            violations.append("all weights d_j must be positive and finite")
+        for w, name, count, index in ((c, "c", "k", "i"), (d, "d", "m", "j")):
+            want = getattr(self.layout, count)
+            if w.shape != (want,):
+                violations.append(f"{name} must have length {count}={want}, got {w.shape}")
+            elif not np.all(np.isfinite(w)) or np.any(w <= 0):
+                violations.append(f"all weights {name}_{index} must be positive and finite")
 
         expected = (self.layout.dim_out, self.layout.dim_in)
         if q.shape != expected:
@@ -191,9 +208,7 @@ class FrblDatum:
         """
         if not 0 <= i < self.k:
             raise IndexError(f"input factor index {i} out of range [0, {self.k})")
-        if not 0 <= j < self.m:
-            raise IndexError(f"output factor index {j} out of range [0, {self.m})")
-        return self.q[self.layout.out_slice(j), self.layout.in_slice(i)].copy()
+        return self.out_row(j)[:, self.layout.in_slice(i)]
 
     def out_row(self, j: int) -> np.ndarray:
         """The full row band of ``Q`` landing in output factor ``j``."""
@@ -230,22 +245,6 @@ def datum_to_json(datum: FrblDatum) -> dict:
     }
 
 
-def datum_from_json(obj: dict) -> FrblDatum:
-    return validate_datum(obj)
-
-
-def lambda_maps(datum: FrblDatum) -> tuple[SymMatrix, SymMatrix]:
-    """The block-diagonal weight maps over the input and output sums.
-
-    The input map has blocks ``c_i * id``, the output map ``d_j * id``; both
-    are positive definite and their traces agree for a valid datum (that is
-    the scaling condition restated).
-    """
-    lam_c = np.diag(np.repeat(datum.c, datum.layout.in_dims))
-    lam_d = np.diag(np.repeat(datum.d, datum.layout.out_dims))
-    return SymMatrix(lam_c), SymMatrix(lam_d)
-
-
 def embed_blockdiag(dims, blocks) -> np.ndarray:
     """Assemble the block-diagonal matrix with the given square blocks.
 
@@ -253,32 +252,15 @@ def embed_blockdiag(dims, blocks) -> np.ndarray:
     may share leading stack axes, e.g. ``(count, dim, dim)``; the result
     then carries them too.
     """
-    dims = tuple(int(x) for x in dims)
+    off = tuple(accumulate((int(x) for x in dims), initial=0))
     blocks = [np.asarray(blk, dtype=float) for blk in blocks]
     lead = blocks[0].shape[:-2] if blocks else ()
-    total = sum(dims)
-    out = np.zeros(lead + (total, total))
-    off = 0
-    for dim, b in zip(dims, blocks, strict=True):
-        if b.shape != lead + (dim, dim):
-            raise ValueError(f"block shape {b.shape} does not match factor dim {dim}")
-        out[..., off : off + dim, off : off + dim] = b
-        off += dim
+    out = np.zeros(lead + (off[-1], off[-1]))
+    for a, b, blk in zip(off[:-1], off[1:], blocks, strict=True):
+        if blk.shape != lead + (b - a, b - a):
+            raise ValueError(f"block shape {blk.shape} does not match factor dim {b - a}")
+        out[..., a:b, a:b] = blk
     return out
-
-
-def _check_blocks(blocks, dims, label: str) -> tuple[np.ndarray, ...]:
-    blocks = tuple(np.asarray(b, dtype=float) for b in blocks)
-    if len(blocks) != len(dims):
-        raise ValueError(f"{label}: expected {len(dims)} blocks, got {len(blocks)}")
-    for b, dim in zip(blocks, dims):
-        if b.ndim != 2 or b.shape != (dim, dim):
-            raise ValueError(f"{label}: block shape {b.shape} does not match factor dim {dim}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError(f"{label}: block entries must be finite")
-        if abs(np.linalg.det(b)) <= DET_TOL:
-            raise ValueError(f"{label}: block is singular (|det| <= {DET_TOL})")
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -295,9 +277,8 @@ class EquivalenceTransform:
     d_blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        c_blocks = tuple(np.array(b, dtype=float) for b in self.c_blocks)
-        d_blocks = tuple(np.array(b, dtype=float) for b in self.d_blocks)
-        for label, blocks in (("C", c_blocks), ("D", d_blocks)):
+        for label, name in (("C", "c_blocks"), ("D", "d_blocks")):
+            blocks = tuple(np.array(b, dtype=float) for b in getattr(self, name))
             for b in blocks:
                 if b.ndim != 2 or b.shape[0] != b.shape[1]:
                     raise ValueError(f"{label}: blocks must be square, got shape {b.shape}")
@@ -305,8 +286,6 @@ class EquivalenceTransform:
                     raise ValueError(f"{label}: block entries must be finite")
                 if abs(np.linalg.det(b)) <= DET_TOL:
                     raise ValueError(f"{label}: block is singular (|det| <= {DET_TOL})")
-        for blocks, name in ((c_blocks, "c_blocks"), (d_blocks, "d_blocks")):
-            for b in blocks:
                 b.setflags(write=False)
             object.__setattr__(self, name, blocks)
 
@@ -339,21 +318,18 @@ def compose_transforms(
 
 
 def apply_equivalence(datum: FrblDatum, transform: EquivalenceTransform) -> FrblDatum:
-    """Transform the datum blockwise: ``Q'[j, i] = inv(D_j) @ Q[j, i] @ inv(C_i)``.
+    """Transform the datum blockwise: ``Q'[j, i] = inv(D_j) @ Q[j, i] @ inv(C_i)``,
+    that is ``Q' = inv(D) @ Q @ inv(C)`` for the block-diagonal ``C`` and ``D``.
 
     Weights and layout are unchanged.  Applying the inverse transform
     recovers the original datum to rounding.
     """
     layout = datum.layout
-    c_blocks = _check_blocks(transform.c_blocks, layout.in_dims, "C")
-    d_blocks = _check_blocks(transform.d_blocks, layout.out_dims, "D")
-
-    new_q = np.zeros_like(datum.q)
-    for j in range(layout.m):
-        for i in range(layout.k):
-            blk = np.linalg.solve(d_blocks[j], datum.block(j, i))
-            blk = np.linalg.solve(c_blocks[i].T, blk.T).T
-            new_q[layout.out_slice(j), layout.in_slice(i)] = blk
+    c_blocks, d_blocks = transform.c_blocks, transform.d_blocks
+    layout.check_shapes("transform blocks", [b.shape for b in c_blocks],
+                        [b.shape for b in d_blocks])
+    d_inv_q = np.linalg.solve(embed_blockdiag(layout.out_dims, d_blocks), datum.q)
+    new_q = np.linalg.solve(embed_blockdiag(layout.in_dims, c_blocks).T, d_inv_q.T).T
     return FrblDatum(layout, datum.c, datum.d, new_q)
 
 
@@ -366,9 +342,6 @@ def transform_to_json(transform: EquivalenceTransform) -> dict:
 
 def transform_from_json(obj: dict) -> EquivalenceTransform:
     try:
-        c_blocks = obj["C"]
-        d_blocks = obj["D"]
+        return EquivalenceTransform(tuple(obj["C"]), tuple(obj["D"]))
     except KeyError as exc:
         raise ValueError(f"transform JSON missing key {exc}") from exc
-    return EquivalenceTransform(tuple(np.asarray(b) for b in c_blocks),
-                                tuple(np.asarray(b) for b in d_blocks))

@@ -17,14 +17,9 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .datum import (
-    EquivalenceTransform,
-    FrblDatum,
-    apply_equivalence,
-    embed_blockdiag,
-)
-from .geometry import GeometricCertificate, check_geometric
-from .linalg import SymMatrix, mirror_upper, sqrt_psd
+from .datum import EquivalenceTransform, FrblDatum, apply_equivalence, embed_blockdiag
+from .geometry import GeometricCertificate, _form_gap, _pullback, check_geometric
+from .linalg import SymMatrix, _eig_map, mirror_upper
 
 __all__ = [
     "CenteredGaussian",
@@ -172,15 +167,8 @@ class GaussianTuple:
         object.__setattr__(self, "g", tuple(self.g))
 
     def check_layout(self, datum: FrblDatum) -> None:
-        layout = datum.layout
-        if len(self.f) != layout.k or len(self.g) != layout.m:
-            raise ValueError("tuple length does not match the datum layout")
-        for i, gf in enumerate(self.f):
-            if gf.space_dim != layout.in_dims[i]:
-                raise ValueError(f"f[{i}] has dim {gf.space_dim}, expected {layout.in_dims[i]}")
-        for j, gg in enumerate(self.g):
-            if gg.space_dim != layout.out_dims[j]:
-                raise ValueError(f"g[{j}] has dim {gg.space_dim}, expected {layout.out_dims[j]}")
+        datum.layout.check_shapes("tuple forms", [x.form.mat.shape for x in self.f],
+                                  [x.form.mat.shape for x in self.g])
 
 
 @dataclass(frozen=True)
@@ -201,14 +189,9 @@ class GaussianFamily:
     @classmethod
     def of(cls, tuples) -> "GaussianFamily":
         """Stack GaussianTuples of one layout."""
-        fs = [t.f for t in tuples]
-        gs = [t.g for t in tuples]
-        return cls(
-            tuple(np.array([x.form.mat for x in col]) for col in zip(*fs)),
-            tuple(np.array([x.form.mat for x in col]) for col in zip(*gs)),
-            np.array([[x.log_prefactor for x in row] for row in fs]),
-            np.array([[x.log_prefactor for x in row] for row in gs]),
-        )
+        f_forms, g_forms, f_prefs, g_prefs = zip(*map(_unstacked, tuples))
+        return cls(tuple(map(np.array, zip(*f_forms))), tuple(map(np.array, zip(*g_forms))),
+                   np.array(f_prefs), np.array(g_prefs))
 
     def __len__(self) -> int:
         return self.f_prefs.shape[0]
@@ -220,13 +203,11 @@ class GaussianFamily:
         return GaussianTuple(unstack(self.f_forms, self.f_prefs), unstack(self.g_forms, self.g_prefs))
 
     def check_layout(self, datum: FrblDatum) -> None:
-        layout = datum.layout
-        count = len(self)
-        want = [(count, n, n) for n in layout.in_dims + layout.out_dims]
-        want += [(count, layout.k), (count, layout.m)]
-        got = [a.shape for a in (*self.f_forms, *self.g_forms, self.f_prefs, self.g_prefs)]
-        if got != want:
-            raise ValueError("family shapes do not match the datum layout")
+        layout, count = datum.layout, len(self)
+        layout.check_shapes("family forms", [f.shape for f in self.f_forms],
+                            [g.shape for g in self.g_forms], lambda n: (count, n, n))
+        if self.f_prefs.shape != (count, layout.k) or self.g_prefs.shape != (count, layout.m):
+            raise ValueError("family log prefactors do not match the datum layout")
 
 
 def _unstacked(tup: GaussianTuple) -> tuple:
@@ -312,15 +293,9 @@ def _relation_gaps(datum: FrblDatum, f_forms, g_forms, f_prefs, g_prefs) -> tupl
     solve.  Forms have shape ``stack + (n, n)`` and log prefactors
     ``stack + (factors,)``, the stack of shape ``()`` or ``(count,)``."""
     layout = datum.layout
-    # (block-diagonal f side) - (pulled-back g side), with the f blocks
-    # added onto the negated pullback in place
-    gap = -(datum.q.T @ embed_blockdiag(
-        layout.out_dims, [dj * g for dj, g in zip(datum.d, g_forms)]
-    ) @ datum.q)
-    off = layout.in_offsets
-    for i, (ci, f) in enumerate(zip(datum.c, f_forms)):
-        gap[..., off[i] : off[i + 1], off[i] : off[i + 1]] += ci * f
-    min_eig = np.linalg.eigvalsh(mirror_upper(gap))[..., 0]
+    gap = _form_gap(datum, embed_blockdiag(layout.in_dims, f_forms),
+                    embed_blockdiag(layout.out_dims, g_forms))
+    min_eig = np.linalg.eigvalsh(gap)[..., 0]
     return min_eig, _fold(datum.d, g_prefs) - _fold(datum.c, f_prefs)
 
 
@@ -352,30 +327,12 @@ class ExtremizerVerdict:
     basis: str  # "geometric-constant" | "comparison-family"
 
 
-def _comparison_blocks(
-    datum: FrblDatum, comparison: GaussianFamily | Iterable[GaussianFamily | GaussianTuple]
-) -> Iterator[GaussianFamily]:
-    """The comparison family as stacked blocks: families pass through, loose
-    tuples are stacked once, after the last family."""
-    if isinstance(comparison, GaussianFamily):
-        comparison = (comparison,)
-    tuples = []
-    for item in comparison:
-        item.check_layout(datum)
-        if isinstance(item, GaussianFamily):
-            yield item
-        else:
-            tuples.append(item)
-    if tuples:
-        yield GaussianFamily.of(tuples)
-
-
 def extremizer_check(
     datum: FrblDatum,
     tup: GaussianTuple,
     tol: float = DEFAULT_RELATION_TOL,
     certificate: GeometricCertificate | None = None,
-    comparison: GaussianFamily | Iterable[GaussianFamily | GaussianTuple] = (),
+    comparison: Iterable[GaussianFamily] = (),
 ) -> ExtremizerVerdict:
     """Decide whether an admissible Gaussian tuple attains the best constant.
 
@@ -387,9 +344,9 @@ def extremizer_check(
     of the family), and the verdict is attainment of that maximum within
     ``tol``.  No global-optimality claim is made in the comparison case.
 
-    ``comparison`` is a stacked :class:`GaussianFamily`, or an iterable of
-    such blocks (as :func:`sample_families` yields) or of GaussianTuples;
-    each block is judged in one batched pass.
+    ``comparison`` is an iterable of stacked :class:`GaussianFamily` blocks,
+    such as :func:`sample_families` yields (:meth:`GaussianFamily.of` stacks
+    loose tuples); each block is judged in one batched pass.
     """
     rel = relation_check(datum, tup, tol)
     if not rel.holds:
@@ -402,7 +359,8 @@ def extremizer_check(
     if cert.verdict == "geometric":
         return ExtremizerVerdict(abs(own) <= tol, math.exp(own), own, 0.0, "geometric-constant")
     best, members = own, 0
-    for fam in _comparison_blocks(datum, comparison):
+    for fam in comparison:
+        fam.check_layout(datum)
         parts = (fam.f_forms, fam.g_forms, fam.f_prefs, fam.g_prefs)
         min_eig, gap = _relation_gaps(datum, *parts)
         ratios = _log_ratios(datum, *parts)
@@ -427,26 +385,23 @@ def geometrize_from_extremizers(
     with :func:`check_geometric`; nothing guarantees a geometric outcome for
     arbitrary weights, the certificate is the verdict.
     """
-    layout = datum.layout
-    ins = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in in_weights]
-    outs = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in out_weights]
-    if len(ins) != layout.k or len(outs) != layout.m:
-        raise ValueError("weight count does not match the datum layout")
-    for i, mat in enumerate(ins):
-        if mat.dim != layout.in_dims[i]:
-            raise ValueError(f"input weight {i} has dim {mat.dim}, expected {layout.in_dims[i]}")
-        _require_pd(mat.min_eigenvalue(), f"input weight {i}")
-    for j, mat in enumerate(outs):
-        if mat.dim != layout.out_dims[j]:
-            raise ValueError(f"output weight {j} has dim {mat.dim}, expected {layout.out_dims[j]}")
-        _require_pd(mat.min_eigenvalue(), f"output weight {j}")
+    ins = [np.array(m, dtype=float) for m in in_weights]
+    outs = [np.array(m, dtype=float) for m in out_weights]
+    datum.layout.check_shapes("heat weights", [m.shape for m in ins], [m.shape for m in outs])
 
-    c_blocks = []
-    for m in ins:
-        w, v = np.linalg.eigh(m.mat)
-        c_blocks.append((v / np.sqrt(w)) @ v.T)
-    d_blocks = [sqrt_psd(m).mat for m in outs]
-    transform = EquivalenceTransform(tuple(c_blocks), tuple(d_blocks))
+    def power(m: np.ndarray, root_fn, what: str) -> np.ndarray:
+        """``root_fn`` of the positive definite weight read from the upper
+        triangle of ``m``, exactly symmetric."""
+        def fn(w: np.ndarray) -> np.ndarray:
+            _require_pd(float(w[0]), what)
+            return root_fn(w)
+
+        return mirror_upper(_eig_map(mirror_upper(m), fn))
+
+    transform = EquivalenceTransform(
+        tuple(power(m, lambda w: 1.0 / np.sqrt(w), f"input weight {i}") for i, m in enumerate(ins)),
+        tuple(power(m, np.sqrt, f"output weight {j}") for j, m in enumerate(outs)),
+    )
     transformed = apply_equivalence(datum, transform)
     certificate = check_geometric(transformed)
     return transform, transformed, certificate
@@ -459,14 +414,11 @@ def long_time_limit(g: CenteredGaussian, a_weight: SymMatrix, x) -> float:
     ``W``; :func:`rescaled_heat_value` is the finite-time evaluator whose
     ``t -> infinity`` limit this is.
     """
-    _require_pd(a_weight.min_eigenvalue(), "heat weight")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    w = a_weight.mat
-    sign, log_det = np.linalg.slogdet(w)
-    if sign <= 0:
-        raise ValueError("heat weight must have positive determinant")
-    quad = float(x @ np.linalg.solve(w, x))
-    return math.exp(-0.5 * log_det - quad + log_gaussian_integral(g))
+    w, v = np.linalg.eigh(a_weight.mat)
+    _require_pd(float(w[0]), "heat weight")
+    y = v.T @ x  # x in the eigenbasis of W, where inv(W) is diagonal
+    return math.exp(-0.5 * float(np.log(w).sum()) - float(y @ (y / w)) + log_gaussian_integral(g))
 
 
 def rescaled_heat_value(g: CenteredGaussian, a_weight: SymMatrix, x, t: float) -> float:
@@ -547,9 +499,7 @@ def _sample_family(datum: FrblDatum, rng: np.random.Generator, count: int) -> Ga
         return pd
 
     g_forms = [random_pd(raw) for raw in g_raw]
-    pulled = datum.q.T @ embed_blockdiag(
-        layout.out_dims, [dj * f for dj, f in zip(datum.d, g_forms)]
-    ) @ datum.q
+    pulled = _pullback(datum, embed_blockdiag(layout.out_dims, g_forms))
     f_forms = []
     for i, raw in enumerate(f_raw):
         sl = layout.in_slice(i)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .datum import FrblDatum, embed_blockdiag, lambda_maps
-from .linalg import DEFAULT_LOEWNER_TOL, SymMatrix
+from .datum import FrblDatum, embed_blockdiag
+from .linalg import DEFAULT_LOEWNER_TOL, SymMatrix, _clip_negative, _eig_map, mirror_upper
 from .linalg import psd_project  # noqa: F401  (perfbench/tracing.py patches geometry.psd_project)
 
 __all__ = [
@@ -50,15 +50,42 @@ DEFAULT_MAX_ITER = 50_000
 TRACE_CONCLUSION_TOL = 1e-10
 
 
+def _pullback(datum: FrblDatum, g_side: np.ndarray) -> np.ndarray:
+    """``Q^T blockdiag(d_j B_j) Q`` from ``g_side = blockdiag(B_j)`` over the
+    output sum (see :func:`embed_blockdiag`), of shape ``stack + (dim_out,
+    dim_out)``; the result carries the stack axes.  Scaling the rows of
+    factor ``j`` by ``d_j`` turns ``g_side`` into ``blockdiag(d_j B_j)``."""
+    lam_d = np.repeat(datum.d, datum.layout.out_dims)[:, None]
+    return datum.q.T @ (lam_d * g_side) @ datum.q
+
+
+def _form_gap(datum: FrblDatum, f_side: np.ndarray, g_side: np.ndarray) -> np.ndarray:
+    """The Loewner gap ``blockdiag(c_i A_i) - Q^T blockdiag(d_j B_j) Q``
+    between the two sides of the relation, exactly symmetric.
+
+    ``f_side = blockdiag(A_i)`` and ``g_side = blockdiag(B_j)`` are block
+    diagonal over the input and the output sum; they may share leading
+    stack axes of shape ``()`` or ``(count,)``, and the gap then carries
+    them.  Identities give the gap of :func:`check_loewner`.  The
+    ``c_i A_i`` are added onto the negated pullback in place.
+    """
+    gap = -_pullback(datum, g_side)
+    gap += np.repeat(datum.c, datum.layout.in_dims)[:, None] * f_side
+    return mirror_upper(gap)
+
+
 def check_loewner(datum: FrblDatum, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[bool, float]:
-    """Check ``Q^T Lambda_d Q <= Lambda_c`` in the Loewner order.
+    """Check ``Q^T Lambda_d Q <= Lambda_c`` in the Loewner order, where the
+    weight maps ``Lambda_c`` and ``Lambda_d`` are block diagonal with blocks
+    ``c_i * id`` and ``d_j * id``.
 
     Returns the verdict together with the minimum eigenvalue of
-    ``Lambda_c - Q^T Lambda_d Q`` (reported either way).
+    ``Lambda_c - Q^T Lambda_d Q`` (reported either way), the form gap of
+    identity blocks.
     """
-    lam_c, lam_d = lambda_maps(datum)
-    gap = lam_c.mat - datum.q.T @ lam_d.mat @ datum.q
-    min_eig = float(np.linalg.eigvalsh(SymMatrix(gap).mat)[0])
+    layout = datum.layout
+    gap = _form_gap(datum, np.eye(layout.dim_in), np.eye(layout.dim_out))
+    min_eig = float(np.linalg.eigvalsh(gap)[0])
     return min_eig >= -tol, min_eig
 
 
@@ -66,18 +93,13 @@ def marginal_residuals(datum: FrblDatum, sigma: np.ndarray) -> tuple[float, floa
     """Max Frobenius deviation of the diagonal blocks of ``sigma`` and of
     ``Q sigma Q^T`` from identities."""
     layout = datum.layout
-    r_in = 0.0
-    for i in range(layout.k):
-        sl = layout.in_slice(i)
-        blk = sigma[sl, sl]
-        r_in = max(r_in, float(np.linalg.norm(blk - np.eye(layout.in_dims[i]))))
-    pushed = datum.q @ sigma @ datum.q.T
-    r_out = 0.0
-    for j in range(layout.m):
-        sl = layout.out_slice(j)
-        blk = pushed[sl, sl]
-        r_out = max(r_out, float(np.linalg.norm(blk - np.eye(layout.out_dims[j]))))
-    return r_in, r_out
+    residuals = []
+    for mat, off in ((sigma, layout.in_offsets), (datum.q @ sigma @ datum.q.T, layout.out_offsets)):
+        r = 0.0
+        for a, b in zip(off, off[1:]):
+            r = max(r, float(np.linalg.norm(mat[a:b, a:b] - np.eye(b - a))))
+        residuals.append(r)
+    return tuple(residuals)
 
 
 def _upper_pairs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,6 +161,16 @@ class _SigmaConstraints:
         return v[self.col] * self.unscale
 
 
+def _to_json(result, keys) -> dict:
+    """The named fields of a result, in order, matrices as nested lists
+    (null when absent)."""
+    out = {}
+    for key in keys:
+        val = getattr(result, key)
+        out[key] = val.mat.tolist() if isinstance(val, SymMatrix) else val
+    return out
+
+
 @dataclass(frozen=True)
 class SigmaSearchResult:
     """Outcome of the alternating-projection search for ``sigma``.
@@ -155,6 +187,10 @@ class SigmaSearchResult:
     iterations: int
     reason: str | None = None
     separator: SymMatrix | None = None
+
+    def to_json(self) -> dict:
+        return _to_json(self, ("status", "sigma", "separator", "sigma_min_eig", "residual_in",
+                               "residual_out", "iterations", "reason"))
 
 
 def find_sigma(
@@ -214,8 +250,7 @@ def find_sigma(
     min_eig = -np.inf
     for iteration in range(1, max_iter + 1):
         shifted = xv + correction
-        w, v = np.linalg.eigh(cons.smat(shifted))
-        cone = cons.svec((v * np.clip(w, 0.0, None)) @ v.T)
+        cone = cons.svec(_eig_map(cons.smat(shifted), _clip_negative))
         correction = shifted - cone
         gap = proj @ cone - x_aff
         if debug:
@@ -272,15 +307,8 @@ class GeometricCertificate:
     separator: SymMatrix | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "verdict": self.verdict,
-            "loewner_min_eig": self.loewner_min_eig,
-            "sigma": None if self.sigma is None else self.sigma.mat.tolist(),
-            "separator": None if self.separator is None else self.separator.mat.tolist(),
-            "residual_in": self.residual_in,
-            "residual_out": self.residual_out,
-            "iterations": self.iterations,
-        }
+        out = _to_json(self, ("verdict", "loewner_min_eig", "sigma", "separator", "residual_in",
+                              "residual_out", "iterations"))
         if self.reason is not None:
             out["reason"] = self.reason
         return out
@@ -310,18 +338,10 @@ def check_geometric(
     search = find_sigma(datum, tol, max_iter)
     verdict = {"found": "geometric", "infeasible": "not-geometric-sigma"}.get(
         search.status, "sigma-not-found")
-    return GeometricCertificate(
-        verdict=verdict,
-        loewner_ok=True,
-        loewner_min_eig=min_eig,
-        sigma=search.sigma,
-        sigma_min_eig=search.sigma_min_eig,
-        residual_in=search.residual_in,
-        residual_out=search.residual_out,
-        iterations=search.iterations,
-        reason=search.reason,
-        separator=search.separator,
-    )
+    # every field of the search but its status carries over under its own name
+    shared = {f.name: getattr(search, f.name) for f in fields(search) if f.name != "status"}
+    return GeometricCertificate(verdict=verdict, loewner_ok=True, loewner_min_eig=min_eig,
+                                **shared)
 
 
 class AdjointContractionResult(NamedTuple):
@@ -337,24 +357,17 @@ def verify_adjoint_contraction(
 
     For vectors ``v^j`` in the output factors, the weighted pullback energy
     ``sum_i (1/c_i) |sum_j d_j Q[j,i]^T v^j|^2`` must not exceed
-    ``sum_j d_j |v^j|^2``.  Both sides are computed exactly as written;
-    ``holds`` allows a scaled slack of ``tol * (1 + rhs)``.
+    ``sum_j d_j |v^j|^2``.  The inner sums are the input-factor segments
+    of ``Q^T`` applied to the stacked ``d_j v^j``; ``holds`` allows a scaled
+    slack of ``tol * (1 + rhs)``.
     """
     layout = datum.layout
     vs = [np.atleast_1d(np.asarray(v, dtype=float)) for v in v_blocks]
-    if len(vs) != layout.m:
-        raise ValueError(f"expected {layout.m} output-factor vectors, got {len(vs)}")
-    for j, v in enumerate(vs):
-        if v.shape != (layout.out_dims[j],):
-            raise ValueError(
-                f"vector {j} has shape {v.shape}, expected ({layout.out_dims[j]},)"
-            )
-    lhs = 0.0
-    for i in range(layout.k):
-        acc = np.zeros(layout.in_dims[i])
-        for j in range(layout.m):
-            acc += datum.d[j] * datum.block(j, i).T @ vs[j]
-        lhs += float(acc @ acc) / float(datum.c[i])
+    layout.check_shapes("output-factor vectors", out_shapes=[v.shape for v in vs],
+                        shape=lambda n: (n,))
+    pulled = datum.q.T @ np.concatenate([dj * v for dj, v in zip(datum.d, vs)])
+    off = layout.in_offsets
+    lhs = float(sum(pulled[a:b] @ pulled[a:b] / ci for a, b, ci in zip(off, off[1:], datum.c)))
     rhs = float(sum(dj * float(v @ v) for dj, v in zip(datum.d, vs)))
     return AdjointContractionResult(lhs, rhs, lhs <= rhs + tol * (1.0 + rhs))
 
@@ -395,29 +408,19 @@ def verify_trace_implication(
     layout = datum.layout
     xs = [np.asarray(x, dtype=float) for x in x_blocks]
     ys = [np.asarray(y, dtype=float) for y in y_blocks]
-    if len(xs) != layout.k or len(ys) != layout.m:
-        raise ValueError("block count does not match the datum layout")
-    for i, x in enumerate(xs):
-        if x.shape != (layout.in_dims[i], layout.in_dims[i]):
-            raise ValueError(f"X block {i} has shape {x.shape}")
-    for j, y in enumerate(ys):
-        if y.shape != (layout.out_dims[j], layout.out_dims[j]):
-            raise ValueError(f"Y block {j} has shape {y.shape}")
-    r_in, r_out = marginal_residuals(datum, np.asarray(sigma))
-    if max(r_in, r_out) > 1e-6 or sigma.min_eigenvalue() < -1e-6:
+    layout.check_shapes("X and Y blocks", [x.shape for x in xs], [y.shape for y in ys])
+    if max(marginal_residuals(datum, np.asarray(sigma))) > 1e-6 or sigma.min_eigenvalue() < -1e-6:
         raise ValueError("sigma is not a marginal certificate for this datum")
 
-    lhs_mat = embed_blockdiag(layout.in_dims, [ci * x for ci, x in zip(datum.c, xs)])
-    rhs_mat = datum.q.T @ embed_blockdiag(
-        layout.out_dims, [dj * y for dj, y in zip(datum.d, ys)]
-    ) @ datum.q
-    hyp_min_eig = float(np.linalg.eigvalsh(SymMatrix(rhs_mat - lhs_mat).mat)[0])
+    # the hypothesis is the negated form gap
+    gap = _form_gap(datum, embed_blockdiag(layout.in_dims, xs), embed_blockdiag(layout.out_dims, ys))
+    hyp_min_eig = float(np.linalg.eigvalsh(-gap)[0])
     hypothesis_holds = hyp_min_eig >= -tol
 
     lhs_trace = float(sum(ci * np.trace(x) for ci, x in zip(datum.c, xs)))
     rhs_trace = float(sum(dj * np.trace(y) for dj, y in zip(datum.d, ys)))
-    if not hypothesis_holds:
-        return TraceImplicationResult(False, hyp_min_eig, None, lhs_trace, rhs_trace)
-    scale = 1.0 + abs(lhs_trace) + abs(rhs_trace)
-    conclusion = lhs_trace <= rhs_trace + TRACE_CONCLUSION_TOL * scale
-    return TraceImplicationResult(True, hyp_min_eig, conclusion, lhs_trace, rhs_trace)
+    conclusion = None  # no claim without the hypothesis
+    if hypothesis_holds:
+        scale = 1.0 + abs(lhs_trace) + abs(rhs_trace)
+        conclusion = lhs_trace <= rhs_trace + TRACE_CONCLUSION_TOL * scale
+    return TraceImplicationResult(hypothesis_holds, hyp_min_eig, conclusion, lhs_trace, rhs_trace)

@@ -74,8 +74,8 @@ class GridFunction:
         if not 1 <= len(n) <= 2 or len(lo) != len(n) or len(hi) != len(n):
             raise ValueError("grids must have one or two axes with matching bounds")
         for a, b, cnt in zip(lo, hi, n):
-            if cnt < 2 or not b > a:
-                raise ValueError("each axis needs hi > lo and at least two samples")
+            if cnt < 2 or not b > a or not math.isfinite(b - a):
+                raise ValueError("each axis needs finite bounds hi > lo and at least two samples")
         values = np.asarray(self.values, dtype=float)
         if values.shape != n:
             raise ValueError(f"values shape {values.shape} does not match n {n}")
@@ -179,6 +179,8 @@ def grid_from_json(obj: dict) -> GridFunction:
         return GridFunction(tuple(obj["lo"]), tuple(obj["hi"]), n, values)
     except KeyError as exc:
         raise ValueError(f"grid JSON missing key {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"grid JSON number out of range: {exc}") from exc
 
 
 def _heat_kernel(quad, t: float, dim: int, det_w: float = 1.0):
@@ -300,12 +302,8 @@ class DefectField:
 
 def _check_flow_inputs(datum: FrblDatum, f_grids, g_grids) -> None:
     layout = datum.layout
-    if len(f_grids) != layout.k or len(g_grids) != layout.m:
-        raise ValueError("grid counts do not match the datum layout")
-    for side, grids, dims in (("f", f_grids, layout.in_dims), ("g", g_grids, layout.out_dims)):
-        for i, (grid, want) in enumerate(zip(grids, dims)):
-            if grid.dim != want:
-                raise ValueError(f"{side} grid {i} has dim {grid.dim}, expected {want}")
+    layout.check_shapes("grid axis counts", [(fg.dim,) for fg in f_grids],
+                        [(gg.dim,) for gg in g_grids], lambda n: (n,))
     if layout.dim_in > 3:
         raise ValueError("defect scans are limited to input sums of dimension at most 3")
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .datum import FrblDatum, datum_from_json, make_datum
+from .datum import FrblDatum, SpaceLayout, make_datum, validate_datum
 
 __all__ = [
     "INSTANCE_NAMES",
@@ -63,8 +63,8 @@ def holder(weights, dim: int = 1) -> FrblDatum:
         raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    q = np.vstack([np.eye(dim)] * w.size)
-    return make_datum((dim,), (dim,) * w.size, (1.0,), w, q)
+    layout = SpaceLayout((dim,), (dim,) * w.size)  # caps the size of Q before it is built
+    return FrblDatum(layout, (1.0,), w, np.vstack([np.eye(dim)] * w.size))
 
 
 INSTANCE_NAMES = ("prekopa-leindler", "young-frame", "loomis-whitney-2d", "holder", "custom")
@@ -91,5 +91,5 @@ def generate(name: str, lam: float | None = None, weights=None, dim: int = 1,
         import json
 
         with open(path, encoding="utf-8") as fh:
-            return datum_from_json(json.load(fh))
+            return validate_datum(json.load(fh))
     raise ValueError(f"unknown instance {name!r}; choose from {INSTANCE_NAMES}")

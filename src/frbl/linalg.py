@@ -77,12 +77,22 @@ class SymMatrix:
         return float(np.linalg.eigvalsh(self.mat)[0])
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.mat.astype(dtype)
-        return self.mat
+        # the stored array itself only when no copy is asked for
+        return self.mat.astype(dtype or float, copy=bool(copy))
 
     def __repr__(self) -> str:
         return f"SymMatrix({self.mat.tolist()!r})"
+
+
+def _eig_map(m: np.ndarray, fn) -> np.ndarray:
+    """The matrix function ``V diag(fn(w)) V^T`` of the symmetric ``m =
+    V diag(w) V^T``, from one ``eigh``; ``fn`` maps the ascending
+    eigenvalues and may raise on them."""
+    w, v = np.linalg.eigh(m)
+    return (v * fn(w)) @ v.T
+
+
+_clip_negative = functools.partial(np.clip, a_min=0.0, a_max=None)
 
 
 def psd_project(m: SymMatrix) -> SymMatrix:
@@ -90,9 +100,7 @@ def psd_project(m: SymMatrix) -> SymMatrix:
 
     Negative eigenvalues are clipped to zero, everything else is kept.
     """
-    w, v = np.linalg.eigh(m.mat)
-    w = np.clip(w, 0.0, None)
-    return SymMatrix((v * w) @ v.T)
+    return SymMatrix(_eig_map(m.mat, _clip_negative))
 
 
 def sqrt_psd(m: SymMatrix, tol: float = PSD_TOL) -> SymMatrix:
@@ -101,10 +109,11 @@ def sqrt_psd(m: SymMatrix, tol: float = PSD_TOL) -> SymMatrix:
     Eigenvalues in ``[-tol, 0)`` are treated as rounding noise and clipped;
     anything below ``-tol`` raises.
     """
-    w, v = np.linalg.eigh(m.mat)
-    if w[0] < -tol:
-        raise ValueError(
-            f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-        )
-    w = np.clip(w, 0.0, None)
-    return SymMatrix((v * np.sqrt(w)) @ v.T)
+    def root(w: np.ndarray) -> np.ndarray:
+        if w[0] < -tol:
+            raise ValueError(
+                f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+            )
+        return np.sqrt(_clip_negative(w))
+
+    return SymMatrix(_eig_map(m.mat, root))

@@ -12,9 +12,9 @@ import pytest
 
 import frbl
 from frbl.cli import main
-from frbl.datum import datum_from_json, datum_to_json
+from frbl.datum import datum_to_json, validate_datum
 from frbl.heatflow import GridFunction, grid_to_json
-from frbl.instances import prekopa_leindler
+from frbl.instances import loomis_whitney_2d, prekopa_leindler
 
 from _oracles import admissible_tuple, log_ratio, relation_gaps, separator_verifies
 
@@ -84,7 +84,7 @@ class TestGen:
     def test_generated_instances_check_geometric(self, tmp_path, argv, capsys):
         out = str(tmp_path / "datum.json")
         assert main(argv + ["--out", out]) == 0
-        datum = datum_from_json(json.loads(open(out).read()))
+        datum = validate_datum(json.loads(open(out).read()))
         assert main(["check", out]) == 0
         capsys.readouterr()
         assert datum.k >= 1
@@ -99,6 +99,12 @@ class TestGen:
         assert main(["gen", "prekopa-leindler", "--lam", "1.5"]) == 2
         assert main(["gen", "holder", "--weights", "0.5,0.6"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_dimension_cap(self, capsys):
+        assert main(["gen", "holder", "--dim", "33", "--weights", "1"]) == 2
+        assert main(["gen", "holder", "--dim", "1", "--weights", ",".join(["0.03125"] * 32)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "MAX_DIM" in captured.err
 
 
 class TestCheck:
@@ -120,7 +126,7 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "not-geometric-sigma"
         assert report["sigma"] is None
-        assert separator_verifies(datum_from_json(HARD), report["separator"])
+        assert separator_verifies(validate_datum(HARD), report["separator"])
 
     def test_loewner_failure_prints_null_residuals(self, negative_file, capsys):
         assert main(["check", negative_file]) == 1
@@ -181,7 +187,7 @@ class TestSigma:
         assert report["status"] == "infeasible"
         assert report["reason"] == "separator"
         assert report["sigma"] is None
-        assert separator_verifies(datum_from_json(HARD), report["separator"])
+        assert separator_verifies(validate_datum(HARD), report["separator"])
 
 
 class TestGaussian:
@@ -235,7 +241,7 @@ class TestGaussian:
         code = main(["gaussian", negative_file, self._weak_tuple_file(tmp_path),
                      "--op", "extremizer", "--seed", "11", "--samples", "32"])
         report = json.loads(capsys.readouterr().out)
-        datum = datum_from_json(json.loads(open(negative_file).read()))
+        datum = validate_datum(json.loads(open(negative_file).read()))
         rng = np.random.default_rng(11)
         family = [admissible_tuple(datum, rng) for _ in range(32)]
         admissible = [tup for tup in family
@@ -311,7 +317,7 @@ class TestFlow:
         # young frame: a 2-D f grid travels through the row-major JSON format
         datum_path = tmp_path / "young.json"
         assert main(["gen", "young-frame", "--out", str(datum_path)]) == 0
-        datum = datum_from_json(json.loads(datum_path.read_text()))
+        datum = validate_datum(json.loads(datum_path.read_text()))
 
         ys = np.linspace(-12, 12, 201)
         g = GridFunction([-12.0], [12.0], [201], np.clip(1 - (ys / 3) ** 2, 0, None) ** 2)
@@ -430,7 +436,60 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _with_huge_number(obj) -> str:
+    """``obj`` as JSON with the string "HUGE" replaced by 1e400, which the
+    decoder reads as infinity."""
+    return json.dumps(obj).replace('"HUGE"', "1e400")
+
+
 class TestContract:
+    @pytest.mark.parametrize("case", ["check in_dims", "sigma in_dims", "grid n", "grid hi"])
+    def test_non_finite_numbers_are_input_errors(self, case, pl_file, tmp_path, capsys):
+        command, key = case.split()
+        path = tmp_path / "input.json"
+        if key == "in_dims":
+            path.write_text(_with_huge_number({**HARD, "in_dims": ["HUGE"]}))
+            argv = [command, str(path)]
+        else:
+            grid = grid_to_json(GridFunction([-6.0], [6.0], [3], [0.0, 1.0, 0.0]))
+            path.write_text(_with_huge_number({"f": [{**grid, key: ["HUGE"]}, grid],
+                                               "g": [grid]}))
+            argv = ["flow-verify", pl_file, str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("which", ["datum", "grids"])
+    def test_undecodable_file_is_input_error(self, which, pl_file, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"caf\xe9": 1}'.encode("latin-1"))
+        args = [str(bad), str(tmp_path / "unused.json")] if which == "datum" else [pl_file, str(bad)]
+        assert main(["flow-verify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read JSON") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "sigma"])
+    def test_dimension_cap(self, tmp_path, command, capsys):
+        # in_dims alone exceed the cap; Q is never read
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**HARD, "in_dims": [33], "c": [1.0]}))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "dim_in = 33 exceeds the cap" in captured.err
+
+    def test_non_integer_box_counts_are_input_errors(self, tmp_path, capsys):
+        datum, grids = tmp_path / "lw.json", tmp_path / "g.json"
+        datum.write_text(json.dumps(datum_to_json(loomis_whitney_2d())))
+        grid = grid_to_json(GridFunction([-6.0], [6.0], [3], [0.0, 1.0, 0.0]))
+        grids.write_text(json.dumps({"g": [grid, grid]}))
+        argv = ["flow-monotone", str(datum), str(grids), "--box-lo=-1,-1", "--box-hi=1,1"]
+        assert main(argv + ["--box-n", "5,5"]) == 0
+        for counts in ("inf,5", "nan,5"):
+            assert main(argv + ["--box-n", counts]) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("command", ["check", "sigma"])
     def test_exhausted_budget_is_strict_json(self, pl_file, command, capsys):
         assert main([command, pl_file, "--max-iter", "0"]) == 1

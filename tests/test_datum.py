@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from frbl.datum import (
+    MAX_DIM,
     DatumValidationError,
     EquivalenceTransform,
     SpaceLayout,
     apply_equivalence,
     compose_transforms,
-    datum_from_json,
     datum_to_json,
     embed_blockdiag,
-    lambda_maps,
     make_datum,
     transform_from_json,
     transform_to_json,
@@ -70,26 +69,20 @@ class TestValidation:
         with pytest.raises(DatumValidationError):
             SpaceLayout((1,), ())
 
+    @pytest.mark.parametrize("dims", [[1e400], [float("nan")], ["2"], [[1]], [1.5]])
+    def test_unconvertible_dims_are_violations(self, dims):
+        with pytest.raises(DatumValidationError, match="positive integers"):
+            SpaceLayout(tuple(dims), (1,))
 
-class TestLambdaMaps:
-    def test_prekopa_leindler_weights(self):
-        lam_c, lam_d = lambda_maps(validate_datum(pl_json()))
-        np.testing.assert_allclose(lam_c.mat, np.diag([1 / 3, 2 / 3]))
-        np.testing.assert_allclose(lam_d.mat, [[1.0]])
-
-    def test_young_equal_weights(self):
-        _, lam_d = lambda_maps(young_frame())
-        np.testing.assert_allclose(lam_d.mat, (2 / 3) * np.eye(3))
-
-    def test_single_factor_identity(self):
-        datum = make_datum((2,), (1, 1), (1.0,), (1.0, 1.0), np.eye(2))
-        lam_c, _ = lambda_maps(datum)
-        np.testing.assert_array_equal(lam_c.mat, np.eye(2))
-
-    def test_traces_agree(self):
-        for datum in (validate_datum(pl_json()), young_frame(), loomis_whitney_2d()):
-            lam_c, lam_d = lambda_maps(datum)
-            assert np.trace(lam_c.mat) == pytest.approx(np.trace(lam_d.mat), abs=1e-12)
+    def test_dimension_cap(self):
+        SpaceLayout((MAX_DIM,), (1,) * MAX_DIM)
+        for in_dims, out_dims, total in (((MAX_DIM + 1,), (1,), "dim_in"),
+                                         ((2,), (MAX_DIM, 1), "dim_out")):
+            with pytest.raises(DatumValidationError, match=f"{total} = 33 exceeds"):
+                SpaceLayout(in_dims, out_dims)
+        # the cap holds before Q is looked at
+        with pytest.raises(DatumValidationError, match="MAX_DIM"):
+            make_datum((10**6,), (1,), (1.0,), (1.0,), "not a matrix")
 
 
 class TestBlocks:
@@ -184,7 +177,7 @@ class TestJson:
         datum = young_frame()
         obj = datum_to_json(datum)
         assert set(obj) == {"in_dims", "out_dims", "c", "d", "Q"}
-        back = datum_from_json(obj)
+        back = validate_datum(obj)
         np.testing.assert_array_equal(back.q, datum.q)
         np.testing.assert_array_equal(back.c, datum.c)
         assert back.layout == datum.layout

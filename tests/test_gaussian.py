@@ -334,13 +334,13 @@ class TestExtremizer:
         family = tuple(tup(1.0, b) for b in (1 / 16, 1 / 8, 3 / 16, 1 / 4))
         best = tup(4.0, 1.0)
         assert relation_check(datum, best).holds
-        verdict = extremizer_check(datum, best, comparison=family)
+        verdict = extremizer_check(datum, best, comparison=[GaussianFamily.of(family)])
         assert verdict.basis == "comparison-family"
         assert verdict.ratio == pytest.approx(0.5, rel=1e-12)
         assert verdict.is_extremizer
 
         worse = tup(1.0, 1 / 8)
-        verdict = extremizer_check(datum, worse, comparison=family + (best,))
+        verdict = extremizer_check(datum, worse, comparison=[GaussianFamily.of(family + (best,))])
         assert not verdict.is_extremizer
 
     def test_non_geometric_needs_comparison(self):
@@ -567,8 +567,7 @@ class TestStackedFamily:
     def test_family_and_tuples_give_one_verdict(self):
         tuples = [random_admissible_tuple(CONTROL, np.random.default_rng(s)) for s in range(12)]
         candidate = tuples[0]
-        want = extremizer_check(CONTROL, candidate, comparison=tuples)
-        assert extremizer_check(CONTROL, candidate, comparison=GaussianFamily.of(tuples)) == want
+        want = extremizer_check(CONTROL, candidate, comparison=[GaussianFamily.of(tuples)])
         halves = [GaussianFamily.of(tuples[:5]), GaussianFamily.of(tuples[5:])]
         assert extremizer_check(CONTROL, candidate, comparison=halves) == want
 
@@ -579,7 +578,7 @@ class TestStackedFamily:
         violating = _one_dim_tuple(1.0, 1.0)
         assert not relation_check(CONTROL, violating).holds
         family = GaussianFamily.of([_one_dim_tuple(1.0, 1 / 8), violating])
-        verdict = extremizer_check(CONTROL, best, comparison=family)
+        verdict = extremizer_check(CONTROL, best, comparison=[family])
         assert verdict.is_extremizer
         assert verdict.reference_log_ratio == pytest.approx(math.log(0.5), abs=1e-12)
 
@@ -588,10 +587,10 @@ class TestStackedFamily:
         bad = GaussianFamily((fam.f_forms[0], -fam.f_forms[1]), fam.g_forms,
                              fam.f_prefs, fam.g_prefs)
         with pytest.raises(ValueError, match="positive definite"):
-            extremizer_check(CONTROL, _one_dim_tuple(4.0, 1.0), comparison=bad)
+            extremizer_check(CONTROL, _one_dim_tuple(4.0, 1.0), comparison=[bad])
 
     def test_family_layout_is_checked(self):
         fam = GaussianFamily.of([_one_dim_tuple(4.0, 1.0)])
         with pytest.raises(ValueError, match="layout"):
             extremizer_check(young_frame(), standard_tuple(young_frame()),
-                             certificate=check_geometric(CONTROL), comparison=fam)
+                             certificate=check_geometric(CONTROL), comparison=[fam])

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frbl.datum import EquivalenceTransform, apply_equivalence, embed_blockdiag, make_datum
+from frbl.gaussian import CenteredGaussian, GaussianTuple, relation_check
 from frbl.geometry import (
+    _form_gap,
     _SigmaConstraints,
     check_geometric,
     check_loewner,
@@ -92,6 +95,55 @@ class TestLoewner:
         assert expected[0] == pytest.approx(-1.5, abs=1e-15)
         assert not ok
         assert min_eig == pytest.approx(-1.5, abs=1e-12)
+
+
+BUNDLED = [prekopa_leindler(1 / 3), young_frame(), loomis_whitney_2d(),
+           holder((0.5, 0.3, 0.2), dim=2)]
+
+
+class TestFormGap:
+    """The one Loewner-gap primitive behind the Loewner test, the Gaussian
+    relation and the trace implication."""
+
+    @pytest.mark.parametrize("datum", BUNDLED,
+                             ids=["prekopa-leindler", "young-frame", "loomis-whitney-2d", "holder"])
+    def test_weight_maps(self, datum):
+        # the identity on one side and zero on the other leave the weight map
+        # Lambda_c, or minus the pullback of Lambda_d
+        layout = datum.layout
+        zero_in, zero_out = np.zeros((layout.dim_in,) * 2), np.zeros((layout.dim_out,) * 2)
+        lam_c = _form_gap(datum, np.eye(layout.dim_in), zero_out)
+        assert np.array_equal(lam_c, np.diag(np.repeat(datum.c, layout.in_dims)))
+        lam_d = np.diag(np.repeat(datum.d, layout.out_dims))
+        np.testing.assert_allclose(-_form_gap(datum, zero_in, np.eye(layout.dim_out)),
+                                   datum.q.T @ lam_d @ datum.q, rtol=0, atol=1e-15)
+        # the scaling condition: both weight maps have one trace
+        assert np.trace(lam_c) == pytest.approx(np.trace(lam_d), abs=1e-12)
+
+    def test_young_frame_pullback_is_identity(self):
+        # the rows form a tight frame: Q^T (2/3 id) Q = id
+        pulled = -_form_gap(young_frame(), np.zeros((2, 2)), np.eye(3))
+        np.testing.assert_allclose(pulled, np.eye(2), rtol=0, atol=1e-15)
+
+    def test_stack_matches_members(self):
+        rng = np.random.default_rng(5)
+        datum = holder((0.5, 0.3, 0.2), dim=2)
+        f_side = rng.standard_normal((4, 2, 2))
+        g_side = embed_blockdiag((2, 2, 2), rng.standard_normal((3, 4, 2, 2)))
+        stacked = _form_gap(datum, f_side, g_side)
+        assert np.array_equal(stacked, stacked.swapaxes(-1, -2))
+        for s in range(4):
+            assert stacked[s].tobytes() == _form_gap(datum, f_side[s], g_side[s]).tobytes()
+
+    def test_loewner_gap_is_the_standard_tuple_form_gap(self):
+        # bit for bit, on the bundled, rotated and random orthogonal data and
+        # on both controls
+        for datum in feasible_data() + [negative_control(), hard_case()]:
+            standard = GaussianTuple(
+                tuple(CenteredGaussian.standard(n) for n in datum.layout.in_dims),
+                tuple(CenteredGaussian.standard(n) for n in datum.layout.out_dims))
+            want = relation_check(datum, standard).form_gap_min_eig
+            assert struct.pack("d", check_loewner(datum)[1]) == struct.pack("d", want)
 
 
 class TestFindSigma:

@@ -35,6 +35,14 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             m.mat[0, 0] = 5.0
 
+    def test_array_copies_unless_told_not_to(self):
+        m = SymMatrix(np.eye(2))
+        for copied in (np.array(m), np.array(m, copy=True), np.array(m, dtype=np.float32)):
+            assert copied.flags.writeable and not np.shares_memory(copied, m.mat)
+            copied[0, 0] = 5.0
+        assert m.mat[0, 0] == 1.0
+        assert np.asarray(m) is m.mat
+
     def test_bits_equal_triangle_sum(self):
         rng = np.random.default_rng(71)
         inputs = [np.array([[-0.0]]), np.array([[2.5]])]

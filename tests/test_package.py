@@ -1,0 +1,57 @@
+"""The package surface, and the names that the benchmark's tracer patches."""
+
+import sys
+from pathlib import Path
+
+import frbl
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Names the package exported before its surface was built from the
+# submodules' own ``__all__``; all of them are still exported.
+EARLIER_EXPORTS = (
+    "CenteredGaussian", "DatumValidationError", "DefectField", "EquivalenceTransform",
+    "ExtremizerVerdict", "FrblDatum", "GaussianTuple", "GeometricCertificate", "GridFunction",
+    "PreservationPreconditionError", "RelationResult", "SigmaSearchResult", "SpaceLayout",
+    "SymMatrix", "apply_equivalence", "check_geometric", "check_loewner", "compose_transforms",
+    "datum_to_json", "default_integration_box", "discrete_mass", "evolve_tuple",
+    "extract_constant", "extremizer_check", "find_sigma", "frbl_ratio", "gaussian_integral",
+    "geometrize_from_extremizers", "grid_from_json", "grid_to_json", "heat_evolve", "heat_step",
+    "holder", "log_frbl_ratio", "log_gaussian_integral", "long_time_limit", "loomis_whitney_2d",
+    "make_datum", "marginal_residuals", "monotone_functional", "prekopa_leindler",
+    "psd_project", "random_admissible_tuple", "relation_check", "rescaled_heat_value",
+    "sqrt_psd", "transform_from_json", "transform_to_json", "tuple_from_json", "tuple_to_json",
+    "validate_datum", "verify_adjoint_contraction", "verify_preservation",
+    "verify_trace_implication", "young_frame",
+)
+
+
+def test_all_is_unique_and_resolves():
+    assert len(frbl.__all__) == len(set(frbl.__all__))
+    for name in frbl.__all__:
+        assert hasattr(frbl, name), name
+    assert set(EARLIER_EXPORTS) <= set(frbl.__all__)
+    assert not {"lambda_maps", "datum_from_json"} & set(frbl.__all__)
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """Every name that ``perfbench/tracing.py`` patches exists, so a rename
+    fails here and not only in the benchmark's own smoke test."""
+    import frbl.cli
+    import frbl.datum
+
+    main, validate = frbl.cli.main, frbl.datum.validate_datum
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer)
+            assert frbl.cli.main is not main
+        finally:
+            tracer.uninstall()
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.modules.pop("tracing", None)
+    assert frbl.cli.main is main and frbl.datum.validate_datum is validate
