@@ -9,10 +9,12 @@ monotone functional).
 Exit codes are stable across commands: 0 when the checked property holds
 (or the computation succeeded for pure computations), 1 when the property
 fails, 2 on invalid input, including a datum whose magnitudes overflow
-double precision.  Reports are strict JSON on stdout, with non-finite
-numbers as null (CSV for the flow commands), and include the tolerances
-used.  Set ``FRBL_LOG`` to a level name (debug, info, ...) for
-diagnostics on stderr.
+double precision.  Inputs are strict RFC 8259 JSON, read with orjson:
+``NaN``, ``Infinity`` and numbers beyond double range are unreadable, as
+is nesting deeper than :data:`MAX_JSON_DEPTH`.  Reports are strict JSON
+on stdout, with non-finite numbers as null (CSV for the flow commands),
+and include the tolerances used.  Set ``FRBL_LOG`` to a level name
+(debug, info, ...) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
+from itertools import accumulate
 
 import numpy as np
+import orjson
 
 from . import datum as dm
 from . import gaussian as gc
@@ -67,11 +72,37 @@ def _input_errors(prefix: str = "", kinds=(ValueError,)):
         raise InputError(f"{prefix}{exc}") from exc
 
 
+# No input format nests deeper than six levels.  orjson recurses on the C
+# stack without a limit (3.8 crashes the process on ~60,000 nested objects),
+# so deeper text is refused before it is decoded.
+MAX_JSON_DEPTH = 64
+_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+_NESTING = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1, ord('"'): 0}
+
+
+def _json_depth(data: bytes) -> int:
+    """How deep arrays and objects nest in the JSON text ``data``; brackets
+    inside strings do not count."""
+    if b"\\" in data:  # an escaped quote does not end its string
+        data = _JSON_STRING.sub(b"", data)
+    # quotes and brackets alone, then the strings among them dropped; a quote
+    # left over opens a string that never ends
+    marks = _JSON_STRING.sub(b"", data.translate(None, _NOT_STRUCTURE))
+    return max(accumulate(map(_NESTING.__getitem__, marks)), default=0)
+
+
 def _load_json(path: str):
-    # ValueError covers malformed JSON and bytes that are not UTF-8
-    with _input_errors(f"cannot read JSON from {path}: ", (OSError, ValueError)), \
-            open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in the file ``path``, decoded by orjson from one read.
+
+    ValueError covers malformed JSON, bytes that are not UTF-8, the
+    non-standard tokens and numbers beyond double range."""
+    with _input_errors(f"cannot read JSON from {path}: ", (OSError, ValueError)):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if _json_depth(data) > MAX_JSON_DEPTH:
+            raise ValueError(f"arrays and objects nest deeper than {MAX_JSON_DEPTH} levels")
+        return orjson.loads(data)
 
 
 def _load(path: str, what: str, parse):
@@ -130,12 +161,28 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _cmd_gen(args) -> int:
-    weights = _parse_floats(args.weights, "--weights") if args.weights else None
-    with _input_errors(kinds=(ValueError, OSError)):
-        datum = generate(args.name, lam=args.lam, weights=weights, dim=args.dim,
-                         path=args.path)
+    if args.name == "custom":
+        if args.path is None:
+            raise InputError("custom needs a path to a datum JSON file")
+        datum = _load_datum(args.path)
+    else:
+        weights = _parse_floats(args.weights, "--weights") if args.weights else None
+        with _input_errors():
+            datum = generate(args.name, lam=args.lam, weights=weights, dim=args.dim)
     _emit(datum_to_json(datum), args.out)
     return EXIT_OK
+
+
+def _check_options(args) -> None:
+    """Reject a tolerance, iteration budget or sample count that no verdict
+    can honour, before any file is read."""
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"--tol must be finite and non-negative, got {tol}")
+    if getattr(args, "max_iter", 0) < 0:
+        raise InputError(f"--max-iter must be non-negative, got {args.max_iter}")
+    if getattr(args, "samples", 1) < 1:
+        raise InputError("--samples must be at least 1")
 
 
 def _in_range(fn, datum, **kwargs):
@@ -162,8 +209,6 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
-    if args.samples < 1:
-        raise InputError("--samples must be at least 1")
     datum = _load_datum(args.datum)
     tup = _load(args.tuple, "Gaussian tuple", gc.tuple_from_json)
     with _input_errors():
@@ -271,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a classical instance as datum JSON")
-    p.add_argument("name", choices=INSTANCE_NAMES)
+    p.add_argument("name", choices=INSTANCE_NAMES + ("custom",))
     p.add_argument("--lam", type=float, default=None, help="weight for prekopa-leindler")
     p.add_argument("--weights", default=None, help="comma-separated weights for holder")
     p.add_argument("--dim", type=int, default=1, help="factor dimension for holder")
@@ -338,6 +383,7 @@ def main(argv=None) -> int:
     _configure_logging()
     args = _parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .datum import FrblDatum, SpaceLayout, make_datum, validate_datum
+from .datum import FrblDatum, SpaceLayout, make_datum
 
 __all__ = [
     "INSTANCE_NAMES",
@@ -67,12 +67,11 @@ def holder(weights, dim: int = 1) -> FrblDatum:
     return FrblDatum(layout, (1.0,), w, np.vstack([np.eye(dim)] * w.size))
 
 
-INSTANCE_NAMES = ("prekopa-leindler", "young-frame", "loomis-whitney-2d", "holder", "custom")
+INSTANCE_NAMES = ("prekopa-leindler", "young-frame", "loomis-whitney-2d", "holder")
 
 
-def generate(name: str, lam: float | None = None, weights=None, dim: int = 1,
-             path: str | None = None) -> FrblDatum:
-    """Build a named instance; ``custom`` loads a datum JSON file from ``path``."""
+def generate(name: str, lam: float | None = None, weights=None, dim: int = 1) -> FrblDatum:
+    """Build a named instance."""
     if name == "prekopa-leindler":
         if lam is None:
             raise ValueError("prekopa-leindler needs a lambda parameter")
@@ -85,11 +84,4 @@ def generate(name: str, lam: float | None = None, weights=None, dim: int = 1,
         if weights is None:
             raise ValueError("holder needs a weights parameter")
         return holder(weights, dim=dim)
-    if name == "custom":
-        if path is None:
-            raise ValueError("custom needs a path to a datum JSON file")
-        import json
-
-        with open(path, encoding="utf-8") as fh:
-            return validate_datum(json.load(fh))
     raise ValueError(f"unknown instance {name!r}; choose from {INSTANCE_NAMES}")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import frbl
+from frbl import cli
 from frbl.cli import main
 from frbl.datum import datum_to_json, validate_datum
 from frbl.heatflow import GridFunction, grid_to_json
@@ -436,10 +437,14 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def _with_huge_number(obj) -> str:
-    """``obj`` as JSON with the string "HUGE" replaced by 1e400, which the
-    decoder reads as infinity."""
-    return json.dumps(obj).replace('"HUGE"', "1e400")
+def _with_token(obj, token: str) -> str:
+    """``obj`` as JSON with the string "HUGE" replaced by the bare ``token``."""
+    return json.dumps(obj).replace('"HUGE"', token)
+
+
+def _assert_one_error_line(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestContract:
@@ -447,18 +452,85 @@ class TestContract:
     def test_non_finite_numbers_are_input_errors(self, case, pl_file, tmp_path, capsys):
         command, key = case.split()
         path = tmp_path / "input.json"
+        grid = grid_to_json(GridFunction([-6.0], [6.0], [3], [0.0, 1.0, 0.0]))
         if key == "in_dims":
-            path.write_text(_with_huge_number({**HARD, "in_dims": ["HUGE"]}))
-            argv = [command, str(path)]
+            obj, argv = {**HARD, "in_dims": ["HUGE"]}, [command, str(path)]
         else:
-            grid = grid_to_json(GridFunction([-6.0], [6.0], [3], [0.0, 1.0, 0.0]))
-            path.write_text(_with_huge_number({"f": [{**grid, key: ["HUGE"]}, grid],
-                                               "g": [grid]}))
+            obj = {"f": [{**grid, key: ["HUGE"]}, grid], "g": [grid]}
             argv = ["flow-verify", pl_file, str(path)]
+        for token in ("1e400", "-1e400", "NaN", "Infinity"):
+            path.write_text(_with_token(obj, token))
+            assert main(argv) == 2, token
+            _assert_one_error_line(capsys.readouterr())
+
+    @pytest.mark.parametrize("shape", ["array", "object"])
+    @pytest.mark.parametrize("command", ["check", "gaussian", "flow-verify", "gen"])
+    def test_deep_nesting_is_input_error(self, command, shape, pl_file, tmp_path, capsys):
+        # 100,000 levels: past the recursion limit of a recursive decoder,
+        # and past the C stack of one that does not count its depth
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        if shape == "array":
+            path.write_text("[" * depth + "]" * depth)
+        else:
+            path.write_text('{"a":' * depth + "1" + "}" * depth)
+        argv = {"check": ["check", str(path)],
+                "gaussian": ["gaussian", pl_file, str(path), "--op", "ratio"],
+                "flow-verify": ["flow-verify", pl_file, str(path)],
+                "gen": ["gen", "custom", "--path", str(path)]}[command]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        _assert_one_error_line(captured)
+        assert "cannot read JSON" in captured.err and "nest deeper than 64" in captured.err
+
+    def test_nesting_cap_counts_brackets_outside_strings_only(self, pl_file, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        raw = json.loads(open(pl_file).read())
+        # brackets and escaped quotes inside strings do not nest anything
+        path.write_text(json.dumps({**raw, 'note "[\\': "[" * 100 + '\\"' + "]" * 100}))
+        assert "\\" in path.read_text()
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        for depth, message in ((64, "invalid datum"), (65, "nest deeper than 64")):
+            path.write_text(json.dumps({**raw, "Q": "HUGE"}).replace(
+                '"HUGE"', "[" * (depth - 1) + "]" * (depth - 1)))
+            assert main(["check", str(path)]) == 2
+            captured = capsys.readouterr()
+            _assert_one_error_line(captured)
+            assert message in captured.err
+
+    def test_decoded_floats_match_float_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(12)
+        tokens = ["2.4703282292062328e-324", "2.4703282292062327e-324",
+                  "4.9406564584124654e-324", "2.2250738585072011e-308",
+                  "2.2250738585072014e-308", "1.7976931348623157e308", "-0.0", "1e-400"]
+        for _ in range(2000):
+            digits = "".join(str(d) for d in rng.integers(0, 10, rng.integers(20, 26)))
+            digits = str(rng.integers(1, 10)) + digits[1:]
+            exponent = rng.integers(-330, 300)
+            tokens.append(f"{rng.choice(['', '-'])}{digits[0]}.{digits[1:]}e{exponent}")
+        tokens += [f"{m}e-{e}" for m in ("1", "2.5", "4.94065645841246544") for e in (310, 320)]
+        path = tmp_path / "floats.json"
+        path.write_text("[" + ",".join(tokens) + "]")
+        decoded = cli._load_json(str(path))
+        assert [x.hex() for x in decoded] == [float(t).hex() for t in tokens]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--tol", "nan"], ["check", "--tol=-1"], ["check", "--tol", "inf"],
+        ["sigma", "--tol", "nan"], ["sigma", "--max-iter=-5"], ["check", "--max-iter=-1"],
+        ["gaussian", "--op", "relation", "--tol", "inf"],
+        ["gaussian", "--op", "ratio", "--tol", "nan"],
+        ["flow-verify", "--tol", "inf"], ["flow-verify", "--tol=-1e-4"],
+    ], ids=" ".join)
+    def test_unusable_options_are_input_errors(self, argv, pl_file, standard_tuple_file,
+                                               tmp_path, capsys):
+        files = {"check": [pl_file], "sigma": [pl_file],
+                 "gaussian": [pl_file, standard_tuple_file],
+                 "flow-verify": [pl_file, grids_file(tmp_path)]}[argv[0]]
+        assert main([argv[0], *files, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert "--tol" in captured.err or "--max-iter" in captured.err
 
     @pytest.mark.parametrize("which", ["datum", "grids"])
     def test_undecodable_file_is_input_error(self, which, pl_file, tmp_path, capsys):
@@ -546,8 +618,8 @@ class TestContract:
         assert done.stdout.strip() == "[]"
 
     def test_no_command_imports_scipy(self, pl_file, standard_tuple_file, tmp_path):
-        # numpy is the only runtime dependency: the heat steps of the flow
-        # commands run on numpy's FFT
+        # numpy and orjson are the only runtime dependencies: the heat steps
+        # of the flow commands run on numpy's FFT
         grids = grids_file(tmp_path)
         xs = np.linspace(-10, 10, 101)
         g = grid_to_json(GridFunction([-10.0], [10.0], [101], np.exp(-xs**2)))

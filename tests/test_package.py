@@ -1,11 +1,13 @@
 """The package surface, and the names that the benchmark's tracer patches."""
 
+import ast
 import sys
 from pathlib import Path
 
 import frbl
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(frbl.__file__).resolve().parent
 
 # Names the package exported before its surface was built from the
 # submodules' own ``__all__``; all of them are still exported.
@@ -55,3 +57,25 @@ def test_benchmark_tracer_installs_and_uninstalls():
         sys.path.remove(str(PERFBENCH))
         sys.modules.pop("tracing", None)
     assert frbl.cli.main is main and frbl.datum.validate_datum is validate
+
+
+def _decoder_uses(node, scope="<module>"):
+    """(enclosing function, ``json.load``-like name) for every use of
+    ``json.load``, ``json.loads`` or ``orjson.loads`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and child.attr in ("load", "loads")
+                and isinstance(child.value, ast.Name) and child.value.id in ("json", "orjson")):
+            yield scope, f"{child.value.id}.{child.attr}"
+        if isinstance(child, ast.ImportFrom) and child.module in ("json", "orjson"):
+            yield from ((scope, f"{child.module}.{a.name}") for a in child.names
+                        if a.name in ("load", "loads"))
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _decoder_uses(child, inner)
+
+
+def test_one_json_decoder():
+    """Every JSON input is decoded in ``cli._load_json``, so every command
+    reads the same dialect."""
+    uses = {(path.name, *use) for path in sorted(SRC.glob("*.py"))
+            for use in _decoder_uses(ast.parse(path.read_text(encoding="utf-8")))}
+    assert uses == {("cli.py", "_load_json", "orjson.loads")}
