@@ -76,9 +76,12 @@ def _input_errors(prefix: str = "", kinds=(ValueError,)):
 # stack without a limit (3.8 crashes the process on ~60,000 nested objects),
 # so deeper text is refused before it is decoded.
 MAX_JSON_DEPTH = 64
-_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+# A string that never closes runs to the end of the text, so a match started
+# at any quote succeeds and the scan stays linear on any input; orjson
+# rejects the unclosed string itself.
+_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)', re.DOTALL)
 _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}')))
-_NESTING = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1, ord('"'): 0}
+_NESTING = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
 
 
 def _json_depth(data: bytes) -> int:
@@ -86,8 +89,7 @@ def _json_depth(data: bytes) -> int:
     inside strings do not count."""
     if b"\\" in data:  # an escaped quote does not end its string
         data = _JSON_STRING.sub(b"", data)
-    # quotes and brackets alone, then the strings among them dropped; a quote
-    # left over opens a string that never ends
+    # quotes and brackets alone, then the strings among them dropped
     marks = _JSON_STRING.sub(b"", data.translate(None, _NOT_STRUCTURE))
     return max(accumulate(map(_NESTING.__getitem__, marks)), default=0)
 
@@ -174,11 +176,13 @@ def _cmd_gen(args) -> int:
 
 
 def _check_options(args) -> None:
-    """Reject a tolerance, iteration budget or sample count that no verdict
-    can honour, before any file is read."""
+    """Reject a tolerance, slack, iteration budget or sample count that no
+    verdict can honour, before any file is read."""
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"--tol must be finite and non-negative, got {tol}")
+    if not math.isfinite(getattr(args, "assert_monotone", None) or 0.0):
+        raise InputError(f"--assert-monotone must be finite, got {args.assert_monotone}")
     if getattr(args, "max_iter", 0) < 0:
         raise InputError(f"--max-iter must be non-negative, got {args.max_iter}")
     if getattr(args, "samples", 1) < 1:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -499,6 +500,19 @@ class TestContract:
             _assert_one_error_line(captured)
             assert message in captured.err
 
+    @pytest.mark.parametrize("tail", ["", "\\"], ids=["unclosed", "trailing-backslash"])
+    def test_unclosed_string_is_rejected_in_linear_time(self, tail, tmp_path, capsys):
+        # every escaped quote could open a string; a scan that retried each
+        # one to the end of the text would take minutes here
+        path = tmp_path / "input.json"
+        path.write_text('"' + '\\"' * 200_000 + tail)
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 2
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert "cannot read JSON" in captured.err
+
     def test_decoded_floats_match_float_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(12)
         tokens = ["2.4703282292062328e-324", "2.4703282292062327e-324",
@@ -521,16 +535,19 @@ class TestContract:
         ["gaussian", "--op", "relation", "--tol", "inf"],
         ["gaussian", "--op", "ratio", "--tol", "nan"],
         ["flow-verify", "--tol", "inf"], ["flow-verify", "--tol=-1e-4"],
+        ["flow-monotone", "--assert-monotone", "nan"],
+        ["flow-monotone", "--assert-monotone", "inf"],
     ], ids=" ".join)
     def test_unusable_options_are_input_errors(self, argv, pl_file, standard_tuple_file,
                                                tmp_path, capsys):
         files = {"check": [pl_file], "sigma": [pl_file],
                  "gaussian": [pl_file, standard_tuple_file],
-                 "flow-verify": [pl_file, grids_file(tmp_path)]}[argv[0]]
+                 "flow-verify": [pl_file, grids_file(tmp_path)],
+                 "flow-monotone": [pl_file, grids_file(tmp_path)]}[argv[0]]
         assert main([argv[0], *files, *argv[1:]]) == 2
         captured = capsys.readouterr()
         _assert_one_error_line(captured)
-        assert "--tol" in captured.err or "--max-iter" in captured.err
+        assert any(option in captured.err for option in ("--tol", "--max-iter", "--assert-monotone"))
 
     @pytest.mark.parametrize("which", ["datum", "grids"])
     def test_undecodable_file_is_input_error(self, which, pl_file, tmp_path, capsys):
