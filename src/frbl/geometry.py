@@ -7,8 +7,11 @@ Q^T`` has identity diagonal blocks as well.  The second condition is a
 feasibility problem over the intersection of the PSD cone with an affine
 subspace; it is attacked with Dykstra-style alternating projections, the
 affine projection being exact through a precomputed orthonormal basis of
-the constraint row space.  The gap between the two iterates doubles as a
-separating matrix that proves infeasibility when the sets lie apart.
+the constraint row space.  The search starts at the identity and tests it
+before building any constraint system: on geometric data with independent
+inputs, or with a single input factor, the identity already is the answer.
+The gap between the two iterates doubles as a separating matrix that
+proves infeasibility when the sets lie apart.
 
 Two matrix inequalities that geometric data satisfy (and that drive the
 heat-flow preservation machinery) are exposed as direct numerical checks:
@@ -206,9 +209,15 @@ def find_sigma(
     constraint subspace, started from the identity (which satisfies the
     input-side constraints by construction, making runs deterministic).
     Success requires both marginal residuals at or below ``tol`` and a
-    minimum eigenvalue at or above ``-tol``.  An empty affine subspace is
-    detected up front via the least-squares residual and reported as
-    ``affine-infeasible``.
+    minimum eigenvalue at or above ``-tol``.  The start is tested first,
+    before the constraint system is built: when both residuals of the
+    identity are at or below ``tol`` (its minimum eigenvalue is exactly 1),
+    the result is ``found`` with ``sigma`` the identity and ``iterations``
+    0, whatever ``max_iter``, since the budget counts projections.  This
+    can change a status only on data within ``tol`` of infeasible, where
+    the identity meets ``tol`` but the projected iterate would not.
+    Otherwise an empty affine subspace is detected via the least-squares
+    residual and reported as ``affine-infeasible``.
 
     Each iteration also tests the gap ``Y = cone - x`` between the PSD
     iterate and its affine projection as a separator.  ``Y`` lies in
@@ -230,6 +239,11 @@ def find_sigma(
     subspace is asserted non-increasing (up to rounding slack) across
     iterations.
     """
+    eye = np.eye(datum.layout.dim_in)
+    r_in, r_out = marginal_residuals(datum, eye)
+    if r_in <= tol and r_out <= tol:
+        log.debug("identity start meets tol, no projection needed")
+        return SigmaSearchResult("found", SymMatrix(eye), 1.0, r_in, r_out, 0)
     cons = _SigmaConstraints(datum)
     if cons.lstsq_residual > tol * (1.0 + cons.rhs_norm):
         x_ls = cons.smat(cons.x_ls)
@@ -244,7 +258,7 @@ def find_sigma(
     proj, x_aff = cons.proj, cons.x_ls
     # |X - X_aff|_F <= dim_in + |X_aff| for every feasible X
     reach = n + float(np.linalg.norm(x_aff))
-    xv = cons.svec(np.eye(n))
+    xv = cons.svec(eye)
     correction = np.zeros_like(xv)
     prev_dist = np.inf
     min_eig = -np.inf
@@ -329,7 +343,9 @@ def check_geometric(
     :func:`find_sigma` returns a separator ``Y`` with
     ``<X_aff, Y> + |Y_perp| (dim_in + |X_aff|) < lambda_min(Y) dim_in``,
     and ``sigma-not-found`` when the affine subspace is empty or the budget
-    runs out (weakly infeasible data end there too).
+    runs out (weakly infeasible data end there too).  ``iterations == 0``
+    with a ``sigma`` means the identity start already met ``tol``; with the
+    residuals NaN it means the Loewner test failed.
     """
     loewner_ok, min_eig = check_loewner(datum, tol)
     if not loewner_ok:

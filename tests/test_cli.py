@@ -16,7 +16,7 @@ from frbl import cli
 from frbl.cli import main
 from frbl.datum import datum_to_json, validate_datum
 from frbl.heatflow import GridFunction, grid_to_json
-from frbl.instances import loomis_whitney_2d, prekopa_leindler
+from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 
 from _oracles import admissible_tuple, log_ratio, relation_gaps, separator_verifies
 
@@ -585,6 +585,16 @@ class TestContract:
         report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert report["reason"] == "max-iter"
         assert report["residual_in"] is None and report["residual_out"] is None
+
+    @pytest.mark.parametrize("command", ["check", "sigma"])
+    def test_zero_budget_on_identity_coupled_data_is_found(self, tmp_path, command, capsys):
+        # the identity start meets tol, so no projection is spent
+        path = tmp_path / "young.json"
+        path.write_text(json.dumps(datum_to_json(young_frame())))
+        assert main([command, str(path), "--max-iter", "0"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["iterations"] == 0
+        assert report["sigma"] == np.eye(2).tolist()
 
     @pytest.mark.parametrize("command", ["check", "sigma"])
     def test_overflowing_datum_is_input_error(self, tmp_path, command, capsys):

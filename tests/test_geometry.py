@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frbl import geometry
 from frbl.datum import EquivalenceTransform, apply_equivalence, embed_blockdiag, make_datum
 from frbl.gaussian import CenteredGaussian, GaussianTuple, relation_check
 from frbl.geometry import (
@@ -73,6 +74,35 @@ def feasible_data():
         for i, o in layouts
     ]
     return bundled + rotated + orthogonal + [slow_case()]
+
+
+@pytest.fixture
+def constraint_builds(monkeypatch):
+    """The data for which ``find_sigma`` builds a constraint system."""
+    built, real = [], geometry._SigmaConstraints
+
+    def spy(datum):
+        built.append(datum)
+        return real(datum)
+
+    monkeypatch.setattr(geometry, "_SigmaConstraints", spy)
+    return built
+
+
+@st.composite
+def orthogonal_data(draw, max_dim=8):
+    """A random orthogonal ``Q`` with unit weights on random block layouts
+    on both sides."""
+    dim = draw(st.integers(1, max_dim))
+
+    def layout():
+        cuts = sorted(draw(st.sets(st.integers(1, dim - 1)))) if dim > 1 else []
+        return tuple(np.diff([0, *cuts, dim]).tolist())
+
+    in_dims, out_dims = layout(), layout()
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim * dim, max_size=dim * dim))
+    q = np.linalg.qr(np.reshape(entries, (dim, dim)))[0]
+    return make_datum(in_dims, out_dims, (1.0,) * len(in_dims), (1.0,) * len(out_dims), q)
 
 
 class TestLoewner:
@@ -147,9 +177,10 @@ class TestFormGap:
 
 
 class TestFindSigma:
-    def test_prekopa_leindler_all_ones(self):
+    def test_prekopa_leindler_all_ones(self, constraint_builds):
         res = find_sigma(prekopa_leindler(1 / 3))
         assert res.status == "found"
+        assert len(constraint_builds) == 1 and res.iterations == 1
         np.testing.assert_allclose(res.sigma.mat, np.ones((2, 2)), atol=1e-8)
         assert max(res.residual_in, res.residual_out) <= 1e-8
         assert res.sigma_min_eig >= -1e-8
@@ -167,19 +198,20 @@ class TestFindSigma:
         assert res.reason == "affine-infeasible"
         assert res.sigma is None
 
-    def test_separator_when_cone_never_reached(self):
+    def test_separator_when_cone_never_reached(self, constraint_builds):
         datum = hard_case()
         res = find_sigma(datum, tol=1e-8, max_iter=300)
         assert res.status == "infeasible"
         assert res.reason == "separator"
         assert res.sigma is None
-        assert res.iterations < 300
+        assert len(constraint_builds) == 1 and res.iterations == 1
         assert max(res.residual_in, res.residual_out) > 1e-8 or res.sigma_min_eig < -1e-8
         assert separator_verifies(datum, res.separator.mat)
 
-    def test_max_iter_on_small_budget(self):
+    def test_max_iter_on_small_budget(self, constraint_builds):
         res = find_sigma(slow_case(), max_iter=5)
         assert res.status == "max-iter"
+        assert len(constraint_builds) == 1
         assert res.reason == "max-iter"
         assert res.iterations == 5
         assert res.sigma is None and res.separator is None
@@ -283,14 +315,62 @@ class TestFindSigma:
                 cert = check_geometric(rotated)
                 assert cert.verdict == "geometric", (base.layout, cert)
 
-    def test_slow_convergence_case(self):
+    def test_slow_convergence_case(self, constraint_builds):
         # frozen random datum whose feasible point is far from the identity
         # start; the search needs a few hundred alternating projections
         res = find_sigma(slow_case(), debug=True)
         assert res.status == "found"
+        assert len(constraint_builds) == 1
         assert res.iterations > 100
         assert max(res.residual_in, res.residual_out) <= 1e-8
         assert res.sigma_min_eig >= -1e-8
+
+
+class TestIdentityStart:
+    """``find_sigma`` tests its identity start before it builds the
+    constraint system and returns the identity when the start meets tol."""
+
+    @pytest.mark.parametrize("datum", [
+        young_frame(), loomis_whitney_2d(), holder((0.5, 0.3, 0.2), dim=2),
+        make_datum((2,) * 6, (3,) * 4, (1.0,) * 6, (1.0,) * 4,
+                   random_orthogonal(np.random.default_rng(12), 12)),
+    ], ids=["young-frame", "loomis-whitney-2d", "holder", "orthogonal-12"])
+    def test_identity_coupled_data_build_no_constraints(self, datum, constraint_builds):
+        res = find_sigma(datum)
+        assert constraint_builds == []
+        assert res.status == "found" and res.iterations == 0
+        assert np.array_equal(res.sigma.mat, np.eye(datum.layout.dim_in))
+        assert res.sigma_min_eig == 1.0
+        assert max(res.residual_in, res.residual_out) <= 1e-8
+
+    @pytest.mark.parametrize("excess, searched", [(0.9, 0), (1.1, 1)],
+                             ids=["just-below-tol", "just-above-tol"])
+    def test_tolerance_edge(self, excess, searched, constraint_builds):
+        # scaling the first row of Q by sqrt(1 + eps) puts the identity's
+        # residual_out at eps and the Loewner gap at -2 eps / 3, within -tol
+        tol = 1e-8
+        base = young_frame()
+        q = base.q.copy()
+        q[0] *= math.sqrt(1.0 + excess * tol)
+        datum = make_datum(base.layout.in_dims, base.layout.out_dims, base.c, base.d, q)
+        start_out = marginal_residuals(datum, np.eye(2))[1]
+        assert (start_out <= tol) == (excess < 1.0)
+        cert = check_geometric(datum, tol)
+        assert cert.verdict == "geometric"
+        # one constraint system and one projection, or neither
+        assert len(constraint_builds) == cert.iterations == searched
+        assert max(cert.residual_in, cert.residual_out) <= tol
+        if not searched:
+            assert np.array_equal(cert.sigma.mat, np.eye(2))
+            assert cert.residual_out == start_out
+
+    @settings(max_examples=60)
+    @given(datum=orthogonal_data())
+    def test_orthogonal_data_certify_with_the_identity(self, datum):
+        cert = check_geometric(datum)
+        assert cert.verdict == "geometric", (datum.layout, cert)
+        assert cert.iterations == 0
+        assert cert.sigma.mat.tobytes() == np.eye(datum.layout.dim_in).tobytes()
 
 
 class TestCheckGeometric:
