@@ -9,12 +9,14 @@ monotone functional).
 Exit codes are stable across commands: 0 when the checked property holds
 (or the computation succeeded for pure computations), 1 when the property
 fails, 2 on invalid input, including a datum whose magnitudes overflow
-double precision.  Inputs are strict RFC 8259 JSON, read with orjson:
+double precision and a ``--max-iter`` or ``--seed`` outside ``[0, 2**64)``.
+orjson is the JSON codec both ways.  Inputs are strict RFC 8259 JSON:
 ``NaN``, ``Infinity`` and numbers beyond double range are unreadable, as
 is nesting deeper than :data:`MAX_JSON_DEPTH`.  Reports are strict JSON
-on stdout, with non-finite numbers as null (CSV for the flow commands),
-and include the tolerances used.  Set ``FRBL_LOG`` to a level name
-(debug, info, ...) for diagnostics on stderr.
+on stdout (CSV for the flow commands), indented by two spaces, with
+non-finite numbers as null and every float in its shortest round-trip
+form (``1e-8``, ``0.00001``), and include the tolerances used.  Set
+``FRBL_LOG`` to a level name (debug, info, ...) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import logging
 import math
 import os
@@ -128,17 +129,6 @@ def _load_grids(path: str, need_f: bool = True):
     return _load(path, "grids", parse)
 
 
-def _finite_or_null(obj):
-    """``obj`` with every non-finite float replaced by ``None`` (JSON null)."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {key: _finite_or_null(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(val) for val in obj]
-    return obj
-
-
 def _write(out: str | None, write) -> None:
     """``write(stream)`` into the file ``out``, or to stdout without one."""
     if out:
@@ -149,7 +139,8 @@ def _write(out: str | None, write) -> None:
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
+    options = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+    text = orjson.dumps(payload, option=options).decode()
     _write(out, lambda fh: fh.write(text + "\n"))
 
 
@@ -176,15 +167,18 @@ def _cmd_gen(args) -> int:
 
 
 def _check_options(args) -> None:
-    """Reject a tolerance, slack, iteration budget or sample count that no
-    verdict can honour, before any file is read."""
+    """Reject a tolerance, slack, iteration budget, seed or sample count that
+    no verdict can honour, before any file is read.  Reports echo
+    ``--max-iter`` and ``--seed``, and orjson writes integers in 64 bits."""
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"--tol must be finite and non-negative, got {tol}")
     if not math.isfinite(getattr(args, "assert_monotone", None) or 0.0):
         raise InputError(f"--assert-monotone must be finite, got {args.assert_monotone}")
-    if getattr(args, "max_iter", 0) < 0:
-        raise InputError(f"--max-iter must be non-negative, got {args.max_iter}")
+    for name in ("max_iter", "seed"):
+        value = getattr(args, name, 0)
+        if not 0 <= value < 2**64:
+            raise InputError(f"--{name.replace('_', '-')} must be in [0, 2**64), got {value}")
     if getattr(args, "samples", 1) < 1:
         raise InputError("--samples must be at least 1")
 
@@ -275,8 +269,7 @@ def _cmd_flow_verify(args) -> int:
     _write_csv(field.csv_rows(), args.out)
     if args.fields_dir is not None:
         os.makedirs(args.fields_dir, exist_ok=True)
-        dim = len(field.argmin[0])
-        header = [f"x{i + 1}" for i in range(dim)] + ["defect"]
+        header = [f"x{i + 1}" for i in range(datum.layout.dim_in)] + ["defect"]
         for t, data in zip(field.times, field.fields):
             rows = [header] + data.tolist()
             _write_csv(rows, os.path.join(args.fields_dir, f"defect_t{t:g}.csv"))

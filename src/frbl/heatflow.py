@@ -506,27 +506,29 @@ def monotone_functional(
     ``c == (1,)``); nondecreasing in ``t`` for geometric data.  ``box`` is
     ``(lo, hi, n)`` for the integration grid; by default it is sized so all
     projections stay inside the g grids.
+
+    The integrand is the defect scan's g side, evaluated on interpolation
+    stencils built once for the box, since heat evolution keeps each grid's
+    box; a box node projecting outside a g grid raises.
     """
     layout = datum.layout
     if layout.k != 1 or abs(float(datum.c[0]) - 1.0) > 1e-12:
         raise ValueError("the monotone functional requires k == 1 and c == (1,)")
-    if len(g_grids) != layout.m:
-        raise ValueError("grid count does not match the datum layout")
+    layout.check_shapes("grid axis counts", out_shapes=[(gg.dim,) for gg in g_grids],
+                        shape=lambda n: (n,))
     if box is None:
         box = default_integration_box(datum, g_grids)
     lo, hi, n = box
-    nodes = _mesh(_axes(lo, hi, n))
+    inside, stencils = _interior(datum, g_grids, _mesh(_axes(lo, hi, n)))
+    if not inside.all():
+        raise ValueError("interpolation point outside the grid box")
     cell = float(np.prod([(b - a) / (cnt - 1) for a, b, cnt in zip(lo, hi, n)]))
     identity_out = [SymMatrix.identity(gg.dim) for gg in g_grids]
 
     out = []
     for t in (float(x) for x in times):
         gt = g_grids if t == 0.0 else [heat_step(gg, t, w) for gg, w in zip(g_grids, identity_out)]
-        prod = np.ones(nodes.shape[0])
-        for j, gg in enumerate(gt):
-            pts = nodes @ datum.out_row(j).T
-            prod *= gg.interpolate(pts) ** float(datum.d[j])
-        out.append((t, cell * float(np.sum(prod))))
+        out.append((t, cell * float(np.sum(_g_side(datum, gt, stencils, 0.0)))))
     return out
 
 

@@ -387,6 +387,15 @@ class TestFlow:
         assert rows[0] == ["x1", "x2", "defect"]
         capsys.readouterr()
 
+    def test_verify_without_times_writes_header_only(self, pl_file, tmp_path, capsys):
+        fields = tmp_path / "fields"
+        code = main(["flow-verify", pl_file, grids_file(tmp_path), "--times", "",
+                     "--fields-dir", str(fields)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert list(csv.reader(captured.out.splitlines())) == [["t", "min_defect"]]
+        assert not any(fields.iterdir())
+
     def test_monotone(self, tmp_path, capsys):
         datum = tmp_path / "lw.json"
         assert main(["gen", "loomis-whitney-2d", "--out", str(datum)]) == 0
@@ -424,6 +433,17 @@ class TestFlow:
         monkeypatch.setenv("FRBL_LOG", "debug")
         assert main(["check", pl_file]) == 0
         capsys.readouterr()
+
+    def test_monotone_grid_axes_mismatch_exit_two(self, tmp_path, capsys):
+        datum, grids = tmp_path / "lw.json", tmp_path / "g.json"
+        datum.write_text(json.dumps(datum_to_json(loomis_whitney_2d())))
+        plane = GridFunction([-5.0, -5.0], [5.0, 5.0], [11, 11], np.ones((11, 11)))
+        line = GridFunction([-5.0], [5.0], [11], np.ones(11))
+        grids.write_text(json.dumps({"g": [grid_to_json(plane), grid_to_json(line)]}))
+        assert main(["flow-monotone", str(datum), str(grids)]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert "grid axis counts" in captured.err
 
     def test_monotone_wrong_k_exit_two(self, pl_file, tmp_path, capsys):
         xs = np.linspace(-6, 6, 101)
@@ -537,6 +557,9 @@ class TestContract:
         ["flow-verify", "--tol", "inf"], ["flow-verify", "--tol=-1e-4"],
         ["flow-monotone", "--assert-monotone", "nan"],
         ["flow-monotone", "--assert-monotone", "inf"],
+        ["check", "--max-iter", "18446744073709551616"],
+        ["sigma", "--max-iter", "18446744073709551616"],
+        ["gaussian", "--op", "extremizer", "--seed", "18446744073709551616"],
     ], ids=" ".join)
     def test_unusable_options_are_input_errors(self, argv, pl_file, standard_tuple_file,
                                                tmp_path, capsys):
@@ -547,7 +570,30 @@ class TestContract:
         assert main([argv[0], *files, *argv[1:]]) == 2
         captured = capsys.readouterr()
         _assert_one_error_line(captured)
-        assert any(option in captured.err for option in ("--tol", "--max-iter", "--assert-monotone"))
+        assert any(option in captured.err
+                   for option in ("--tol", "--max-iter", "--assert-monotone", "--seed"))
+
+    def test_reports_are_strict_json_with_non_finite_as_null(self, capsys):
+        payload = {"nan": math.nan, "inf": math.inf, "minus_inf": -math.inf,
+                   "np_float": np.float64(0.1), "np_nan": np.float64(math.nan),
+                   "np_bool": np.bool_(False), "minus_zero": -0.0, "small": 1e-05,
+                   "matrix": [[1.0, math.nan], (np.float64(2.5), -math.inf)],
+                   "nested": {"empty": [], "none": None, "count": 3}}
+        expected = {"nan": None, "inf": None, "minus_inf": None, "np_float": 0.1,
+                    "np_nan": None, "np_bool": False, "minus_zero": -0.0, "small": 1e-05,
+                    "matrix": [[1.0, None], [2.5, None]],
+                    "nested": {"empty": [], "none": None, "count": 3}}
+        cli._emit(payload, None)
+        out = capsys.readouterr().out
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report == expected
+        assert math.copysign(1.0, report["minus_zero"]) == -1.0
+        # the stdlib's indent=2 layout; only the way 1e-05 is written differs
+        assert out == json.dumps(expected, indent=2).replace("1e-05", "0.00001") + "\n"
+
+    def test_largest_budget_is_echoed(self, pl_file, capsys):
+        assert main(["sigma", pl_file, "--max-iter", str(2**64 - 1)]) == 0
+        assert json.loads(capsys.readouterr().out)["max_iter"] == 2**64 - 1
 
     @pytest.mark.parametrize("which", ["datum", "grids"])
     def test_undecodable_file_is_input_error(self, which, pl_file, tmp_path, capsys):

@@ -355,6 +355,37 @@ class TestMonotoneFunctional:
         for j in range(3):
             assert grids[j].contains(corners @ datum.out_row(j).T).all()
 
+    def test_matches_interpolation_reference_bit_for_bit(self):
+        # the product of GridFunction.interpolate powers, in factor order
+        datum = young_frame()
+        grids = [bump_1d(width=2.0, center=c, half=15.0, n=301) for c in (1.0, -0.5, 0.3)]
+        times = [0.0, 0.25, 1.0]
+        lo, hi, n = default_integration_box(datum, grids, n_per_axis=61)
+        nodes = np.stack([m.ravel() for m in np.meshgrid(
+            *[np.linspace(a, b, c) for a, b, c in zip(lo, hi, n)], indexing="ij")], axis=1)
+        cell = float(np.prod([(b - a) / (c - 1) for a, b, c in zip(lo, hi, n)]))
+        expected = []
+        for t in times:
+            evolved = grids if t == 0.0 else [heat_step(g, t, I1) for g in grids]
+            prod = np.ones(len(nodes))
+            for j, g in enumerate(evolved):
+                prod *= g.interpolate(nodes @ datum.out_row(j).T) ** float(datum.d[j])
+            expected.append((t, cell * float(np.sum(prod))))
+        assert monotone_functional(datum, grids, times, box=(lo, hi, n)) == expected
+
+    def test_box_beyond_a_grid_raises(self):
+        datum = loomis_whitney_2d()
+        grids = [gaussian_grid(half=5.0, n=51)] * 2
+        with pytest.raises(ValueError, match="outside the grid box"):
+            monotone_functional(datum, grids, [0.0], box=((-6.0, -1.0), (1.0, 1.0), (5, 5)))
+
+    def test_grid_axes_must_match_factor_dims(self):
+        # a two-axis g grid on a one-dimensional output factor
+        datum = loomis_whitney_2d()
+        plane = GridFunction([-5.0, -5.0], [5.0, 5.0], [11, 11], np.ones((11, 11)))
+        with pytest.raises(ValueError, match="grid axis counts"):
+            monotone_functional(datum, [plane, gaussian_grid()], [0.0])
+
 
 class TestExtractConstant:
     def test_prekopa_leindler_approaches_one(self):
