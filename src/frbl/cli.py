@@ -47,9 +47,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-log = logging.getLogger("frbl.cli")
-
-
 class InputError(Exception):
     """Any problem with user-supplied files or parameters (exit code 2)."""
 
@@ -194,8 +191,7 @@ def _in_range(fn, datum, **kwargs):
 def _cmd_check(args) -> int:
     datum = _load_datum(args.datum)
     cert = _in_range(check_geometric, datum, tol=args.tol, max_iter=args.max_iter)
-    report = {"tol": args.tol, "max_iter": args.max_iter, **cert.to_json()}
-    _emit(report, args.out)
+    _emit({"tol": args.tol, "max_iter": args.max_iter, **cert.to_json()}, args.out)
     return EXIT_OK if cert.verdict == "geometric" else EXIT_FAIL
 
 
@@ -229,14 +225,10 @@ def _gaussian_op(datum, tup, args) -> int:
         return EXIT_OK
 
     if args.op == "extremizer":
-        cert = check_geometric(datum)
-        comparison = ()
-        if cert.verdict != "geometric":
-            comparison = gc.sample_families(datum, np.random.default_rng(args.seed),
-                                            args.samples)
+        # drawn only if extremizer_check finds the datum not geometric
+        families = gc.sample_families(datum, np.random.default_rng(args.seed), args.samples)
         with _input_errors():
-            verdict = gc.extremizer_check(datum, tup, tol=args.tol,
-                                          certificate=cert, comparison=comparison)
+            verdict = gc.extremizer_check(datum, tup, tol=args.tol, comparison=families)
         _emit({"tol": args.tol, "seed": args.seed, **asdict(verdict)}, args.out)
         return EXIT_OK if verdict.is_extremizer else EXIT_FAIL
 
@@ -269,9 +261,8 @@ def _cmd_flow_verify(args) -> int:
     _write_csv(field.csv_rows(), args.out)
     if args.fields_dir is not None:
         os.makedirs(args.fields_dir, exist_ok=True)
-        header = [f"x{i + 1}" for i in range(datum.layout.dim_in)] + ["defect"]
         for t, data in zip(field.times, field.fields):
-            rows = [header] + data.tolist()
+            rows = [[*field.columns("x"), "defect"]] + data.tolist()
             _write_csv(rows, os.path.join(args.fields_dir, f"defect_t{t:g}.csv"))
     print(f"verdict: {'holds' if field.holds else 'fails'} (tol={args.tol}, "
           f"nodes={field.nodes_evaluated} of {math.prod(fg.values.size for fg in f_grids)})",

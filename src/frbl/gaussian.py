@@ -19,7 +19,7 @@ import numpy as np
 
 from .datum import EquivalenceTransform, FrblDatum, apply_equivalence, embed_blockdiag
 from .geometry import GeometricCertificate, _form_gap, _pullback, check_geometric
-from .linalg import SymMatrix, _eig_map, mirror_upper
+from .linalg import SymMatrix, _eig_map, _heat_weight, _require_pd, mirror_upper
 
 __all__ = [
     "CenteredGaussian",
@@ -45,16 +45,10 @@ __all__ = [
     "tuple_to_json",
 ]
 
-PD_TOL = 1e-12
 DEFAULT_RELATION_TOL = 1e-9
 # members of a sampled comparison family drawn and evaluated at once, so
 # memory stays bounded whatever the family size
 FAMILY_BLOCK = 1024
-
-
-def _require_pd(min_eig: float, what: str) -> None:
-    if min_eig <= PD_TOL:
-        raise ValueError(f"{what} must be positive definite (min eigenvalue {min_eig:.3e})")
 
 
 @dataclass(frozen=True)
@@ -140,10 +134,7 @@ def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None
     if a_weight is None:
         mu, m = np.linalg.eigh(b)
     else:
-        if a_weight.dim != g.space_dim:
-            raise ValueError(f"weight dim {a_weight.dim} does not match Gaussian dim {g.space_dim}")
-        w, v = np.linalg.eigh(a_weight.mat)
-        _require_pd(float(w[0]), "heat weight")
+        w, v = _heat_weight(a_weight, g.space_dim, "Gaussian")
         sqrt_w = np.sqrt(w)
         root = (v * sqrt_w) @ v.T
         mu, u = np.linalg.eigh(root @ b @ root)
@@ -331,22 +322,22 @@ def extremizer_check(
     datum: FrblDatum,
     tup: GaussianTuple,
     tol: float = DEFAULT_RELATION_TOL,
-    certificate: GeometricCertificate | None = None,
     comparison: Iterable[GaussianFamily] = (),
 ) -> ExtremizerVerdict:
     """Decide whether an admissible Gaussian tuple attains the best constant.
 
-    The tuple must satisfy the pointwise relation (precondition).  For a
-    certified-geometric datum the best constant is one, so the verdict is
-    ``|log ratio| <= tol``.  Otherwise the supremum is estimated as the
-    maximum ratio over the caller-supplied comparison family (tuples
-    violating the relation are skipped; the candidate itself is always part
-    of the family), and the verdict is attainment of that maximum within
-    ``tol``.  No global-optimality claim is made in the comparison case.
+    The tuple must satisfy the pointwise relation (precondition).  On a datum
+    that :func:`check_geometric` certifies the best constant is one, so the
+    verdict is ``|log ratio| <= tol``.  Otherwise the supremum is estimated
+    as the maximum ratio over the comparison family (tuples violating the
+    relation are skipped; the candidate itself is always part of the
+    family), and the verdict is attainment of that maximum within ``tol``.
+    No global-optimality claim is made in the comparison case.
 
     ``comparison`` is an iterable of stacked :class:`GaussianFamily` blocks,
     such as :func:`sample_families` yields (:meth:`GaussianFamily.of` stacks
-    loose tuples); each block is judged in one batched pass.
+    loose tuples); each block is judged in one batched pass, and only on data
+    that are not geometric, so a generator draws nothing on geometric data.
     """
     rel = relation_check(datum, tup, tol)
     if not rel.holds:
@@ -355,8 +346,7 @@ def extremizer_check(
             f"(form gap {rel.form_gap_min_eig:.3e}, prefactor gap {rel.prefactor_gap:.3e})"
         )
     own = log_frbl_ratio(datum, tup)
-    cert = certificate if certificate is not None else check_geometric(datum)
-    if cert.verdict == "geometric":
+    if check_geometric(datum).verdict == "geometric":
         return ExtremizerVerdict(abs(own) <= tol, math.exp(own), own, 0.0, "geometric-constant")
     best, members = own, 0
     for fam in comparison:
@@ -415,8 +405,7 @@ def long_time_limit(g: CenteredGaussian, a_weight: SymMatrix, x) -> float:
     ``t -> infinity`` limit this is.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    w, v = np.linalg.eigh(a_weight.mat)
-    _require_pd(float(w[0]), "heat weight")
+    w, v = _heat_weight(a_weight, g.space_dim, "Gaussian")
     y = v.T @ x  # x in the eigenbasis of W, where inv(W) is diagonal
     return math.exp(-0.5 * float(np.log(w).sum()) - float(y @ (y / w)) + log_gaussian_integral(g))
 
@@ -448,12 +437,7 @@ def sample_families(
     with the same generator, whatever the block size.
     """
     for start in range(0, count, FAMILY_BLOCK):
-        fam = _sample_family(datum, rng, min(FAMILY_BLOCK, count - start))
-        for form in fam.f_forms + fam.g_forms:
-            mirror_upper(form)
-        if not np.isfinite(fam.f_prefs).all():
-            raise ValueError("log_prefactor must be finite")
-        yield fam
+        yield _sample_family(datum, rng, min(FAMILY_BLOCK, count - start))
 
 
 def _sample_family(datum: FrblDatum, rng: np.random.Generator, count: int) -> GaussianFamily:
@@ -465,9 +449,9 @@ def _sample_family(datum: FrblDatum, rng: np.random.Generator, count: int) -> Ga
     which dominates the pullback in the Loewner order, plus a positive
     definite cushion.  Prefactors are split so the weighted g side wins by a
     positive margin.  The loop over samples only draws, in a fixed order per
-    sample; the arithmetic runs on the whole stack.  The forms are returned
-    unchecked and with the rounding asymmetry of the pullback: the callers
-    symmetrize and check them, through ``mirror_upper`` or ``SymMatrix``.
+    sample; the arithmetic runs on the whole stack.  Every form is then
+    mirrored from its upper triangle, which drops the rounding asymmetry of
+    the pullback, and every entry and log prefactor is checked finite.
     """
     layout = datum.layout
     k = layout.k
@@ -512,4 +496,8 @@ def _sample_family(datum: FrblDatum, rng: np.random.Generator, count: int) -> Ga
 
     weights /= weights.sum(axis=1, keepdims=True)
     f_prefs = (_fold(datum.d, g_prefs) - (np.abs(margin) + 1e-3))[:, None] * weights / datum.c
+    for form in f_forms + g_forms:
+        mirror_upper(form)
+    if not np.isfinite(f_prefs).all():
+        raise ValueError("log_prefactor must be finite")
     return GaussianFamily(tuple(f_forms), tuple(g_forms), f_prefs, g_prefs)

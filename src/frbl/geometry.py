@@ -98,9 +98,10 @@ def marginal_residuals(datum: FrblDatum, sigma: np.ndarray) -> tuple[float, floa
     layout = datum.layout
     residuals = []
     for mat, off in ((sigma, layout.in_offsets), (datum.q @ sigma @ datum.q.T, layout.out_offsets)):
+        dev = mat - np.eye(len(mat))
         r = 0.0
         for a, b in zip(off, off[1:]):
-            r = max(r, float(np.linalg.norm(mat[a:b, a:b] - np.eye(b - a))))
+            r = max(r, float(np.linalg.norm(dev[a:b, a:b])))
         residuals.append(r)
     return tuple(residuals)
 

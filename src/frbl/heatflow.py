@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .datum import FrblDatum
-from .linalg import SymMatrix
+from .linalg import SymMatrix, _heat_weight
 
 __all__ = [
     "DefectField",
@@ -239,11 +239,7 @@ def heat_step(f: GridFunction, t: float, a_weight: SymMatrix) -> GridFunction:
     """
     if t <= 0:
         raise ValueError("evolution time must be positive")
-    if a_weight.dim != f.dim:
-        raise ValueError(f"weight dim {a_weight.dim} does not match grid dim {f.dim}")
-    lam = np.linalg.eigvalsh(a_weight.mat)
-    if lam[0] <= 0:
-        raise ValueError("heat weight must be positive definite")
+    lam, _ = _heat_weight(a_weight, f.dim, "grid")
     r_cut = KERNEL_CUT_SIGMAS * math.sqrt(2.0 * t * lam[-1])
     extent = max(b - a for a, b in zip(f.lo, f.hi))
     if r_cut > 10.0 * extent:
@@ -284,7 +280,7 @@ class PreservationPreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class DefectField:
-    """Per-time minima of (g side) - (f side) over the scanned nodes."""
+    """Per-time minima of (g side) - (f side) over the scanned nodes of the input sum."""
 
     times: tuple[float, ...]
     min_defect: tuple[float, ...]
@@ -292,11 +288,15 @@ class DefectField:
     thresholds: tuple[float, ...]
     nodes_evaluated: int
     holds: bool
+    dim: int
     fields: tuple[np.ndarray, ...] | None = None
 
+    def columns(self, prefix: str) -> list[str]:
+        """One CSV column name per input coordinate: ``prefix1``, ``prefix2``, ..."""
+        return [f"{prefix}{i + 1}" for i in range(self.dim)]
+
     def csv_rows(self) -> list[list]:
-        dim = len(self.argmin[0]) if self.argmin else 0
-        header = ["t", "min_defect"] + [f"argmin_x{i + 1}" for i in range(dim)]
+        header = ["t", "min_defect", *self.columns("argmin_x")]
         return [header] + [[t, md, *am] for t, md, am in zip(self.times, self.min_defect, self.argmin)]
 
 
@@ -472,6 +472,7 @@ def verify_preservation(
         times=tuple(times), min_defect=tuple(min_defects), argmin=tuple(argmins),
         thresholds=thresholds, nodes_evaluated=n_nodes,
         holds=all(md >= -th for md, th in zip(min_defects, thresholds)),
+        dim=datum.layout.dim_in,
         fields=tuple(np.concatenate(f) for f in fields) if collect_fields else None,
     )
 

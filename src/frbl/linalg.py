@@ -27,6 +27,9 @@ DEFAULT_LOEWNER_TOL = 1e-9
 # positive semidefinite for square-root purposes.
 PSD_TOL = 1e-10
 
+# The eigenvalue a Gaussian form or heat weight must exceed to count as positive definite.
+PD_TOL = 1e-12
+
 
 @functools.lru_cache(maxsize=64)
 def _strict_lower(dim: int) -> np.ndarray:
@@ -82,6 +85,21 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"SymMatrix({self.mat.tolist()!r})"
+
+
+def _require_pd(min_eig: float, what: str) -> None:
+    if min_eig <= PD_TOL:
+        raise ValueError(f"{what} must be positive definite (min eigenvalue {min_eig:.3e})")
+
+
+def _heat_weight(a_weight: SymMatrix, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a heat weight for a ``dim``-dimensional ``what``, which
+    must match that dimension and be positive definite."""
+    if a_weight.dim != dim:
+        raise ValueError(f"weight dim {a_weight.dim} does not match {what} dim {dim}")
+    w, v = np.linalg.eigh(a_weight.mat)
+    _require_pd(float(w[0]), "heat weight")
+    return w, v
 
 
 def _eig_map(m: np.ndarray, fn) -> np.ndarray:

@@ -195,6 +195,7 @@ def dense_verify_preservation(datum, f_grids, g_grids, times, tol=1e-4, shift=0.
         thresholds=tuple(thresholds),
         nodes_evaluated=n_nodes,
         holds=bool(holds),
+        dim=datum.layout.dim_in,
         fields=tuple(fields) if collect_fields else None,
     )
 

@@ -393,7 +393,8 @@ class TestFlow:
                      "--fields-dir", str(fields)])
         captured = capsys.readouterr()
         assert code == 0, captured.err
-        assert list(csv.reader(captured.out.splitlines())) == [["t", "min_defect"]]
+        assert list(csv.reader(captured.out.splitlines())) == [
+            ["t", "min_defect", "argmin_x1", "argmin_x2"]]
         assert not any(fields.iterdir())
 
     def test_monotone(self, tmp_path, capsys):

@@ -405,6 +405,11 @@ class TestLongTime:
         w = SymMatrix(np.diag([1.0, 4.0]))
         assert long_time_limit(g, w, [0.0, 0.0]) == pytest.approx(math.pi / 2, rel=1e-14)
 
+    def test_weight_of_another_dimension_raises(self):
+        g = CenteredGaussian(SymMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match="does not match"):
+            long_time_limit(g, SymMatrix([[2.0]]), [0.5])
+
 
 class TestTupleHelpers:
     def test_json_roundtrip(self):
@@ -590,7 +595,24 @@ class TestStackedFamily:
             extremizer_check(CONTROL, _one_dim_tuple(4.0, 1.0), comparison=[bad])
 
     def test_family_layout_is_checked(self):
-        fam = GaussianFamily.of([_one_dim_tuple(4.0, 1.0)])
+        fam = GaussianFamily.of([standard_tuple(young_frame())])
         with pytest.raises(ValueError, match="layout"):
-            extremizer_check(young_frame(), standard_tuple(young_frame()),
-                             certificate=check_geometric(CONTROL), comparison=[fam])
+            extremizer_check(CONTROL, _one_dim_tuple(4.0, 1.0), comparison=[fam])
+
+    def test_geometric_datum_draws_no_comparison(self):
+        def comparison():
+            raise AssertionError("comparison family drawn on a geometric datum")
+            yield
+
+        datum = prekopa_leindler(0.5)
+        verdict = extremizer_check(datum, standard_tuple(datum), comparison=comparison())
+        assert verdict.basis == "geometric-constant" and verdict.is_extremizer
+
+    def test_lazy_and_listed_draws_give_one_verdict(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "FAMILY_BLOCK", 16)
+        candidate = _one_dim_tuple(16.0, 1.0)
+        lazy = sample_families(CONTROL, np.random.default_rng(3), 64)
+        listed = list(sample_families(CONTROL, np.random.default_rng(3), 64))
+        verdict = extremizer_check(CONTROL, candidate, comparison=lazy)
+        assert verdict.basis == "comparison-family" and len(listed) == 4
+        assert extremizer_check(CONTROL, candidate, comparison=listed) == verdict

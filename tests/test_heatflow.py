@@ -95,6 +95,13 @@ class TestGridFunction:
 
 
 class TestHeatStep:
+    def test_invalid_weights(self):
+        g = gaussian_grid(n=41)
+        with pytest.raises(ValueError, match="does not match"):
+            heat_step(g, 0.1, SymMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match="positive definite"):
+            heat_step(g, 0.1, SymMatrix([[1e-13]]))
+
     def test_preserves_constant_one(self):
         ones = GridFunction.sample(lambda p: np.ones(len(p)), [-10], [10], [401])
         ev = heat_step(ones, 0.5, I1)

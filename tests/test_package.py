@@ -1,12 +1,17 @@
 """The package surface, and the names that the benchmark's tracer patches."""
 
 import ast
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import frbl
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 SRC = Path(frbl.__file__).resolve().parent
 
 # Names the package exported before its surface was built from the
@@ -57,6 +62,33 @@ def test_benchmark_tracer_installs_and_uninstalls():
         sys.path.remove(str(PERFBENCH))
         sys.modules.pop("tracing", None)
     assert frbl.cli.main is main and frbl.datum.validate_datum is validate
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_workload_runs(workload, tmp_path, monkeypatch):
+    """One smoke round of each benchmark workload, in process: the library
+    surface that the workloads build on (``SymMatrix``, ``CenteredGaussian``,
+    ``evolve_tuple``, the commands) still answers every verdict correctly."""
+    import numpy as np
+
+    import frbl.cli
+
+    # perfbench/run.py pins the BLAS thread count when imported
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        import run
+        import workloads
+
+        bench = workloads.BUILDERS[workload](np.random.default_rng(3),
+                                             workloads.Inputs(tmp_path), True)
+        failures = []
+        run.run_round(bench.verdicts, frbl.cli, None, [], failures)
+    finally:
+        for name in ("run", "workloads", "tracing", "checks"):
+            sys.modules.pop(name, None)
+    assert bench.verdicts and not failures
 
 
 def _decoder_uses(node, scope="<module>"):
