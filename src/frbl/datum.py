@@ -200,16 +200,6 @@ class FrblDatum:
     def m(self) -> int:
         return self.layout.m
 
-    def block(self, j: int, i: int) -> np.ndarray:
-        """The block of ``Q`` mapping input factor ``i`` to output factor ``j``.
-
-        Indices are 0-based.  Stacking all blocks in layout order reproduces
-        ``Q`` exactly.
-        """
-        if not 0 <= i < self.k:
-            raise IndexError(f"input factor index {i} out of range [0, {self.k})")
-        return self.out_row(j)[:, self.layout.in_slice(i)]
-
     def out_row(self, j: int) -> np.ndarray:
         """The full row band of ``Q`` landing in output factor ``j``."""
         if not 0 <= j < self.m:
@@ -288,19 +278,6 @@ class EquivalenceTransform:
                     raise ValueError(f"{label}: block is singular (|det| <= {DET_TOL})")
                 b.setflags(write=False)
             object.__setattr__(self, name, blocks)
-
-    @classmethod
-    def identity(cls, layout: SpaceLayout) -> "EquivalenceTransform":
-        return cls(
-            tuple(np.eye(dim) for dim in layout.in_dims),
-            tuple(np.eye(dim) for dim in layout.out_dims),
-        )
-
-    def inverse(self) -> "EquivalenceTransform":
-        return EquivalenceTransform(
-            tuple(np.linalg.inv(b) for b in self.c_blocks),
-            tuple(np.linalg.inv(b) for b in self.d_blocks),
-        )
 
 
 def compose_transforms(

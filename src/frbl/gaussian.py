@@ -30,8 +30,6 @@ __all__ = [
     "RelationResult",
     "evolve_tuple",
     "extremizer_check",
-    "frbl_ratio",
-    "gaussian_integral",
     "geometrize_from_extremizers",
     "heat_evolve",
     "log_frbl_ratio",
@@ -80,9 +78,6 @@ class CenteredGaussian:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.log_prefactor - float(x @ self.form.mat @ x)
 
-    def value(self, x) -> float:
-        return math.exp(self.log_value(x))
-
 
 def _log_integrals(forms, log_prefactors: np.ndarray) -> np.ndarray:
     """``l + (n/2) log pi - (1/2) log det(form)`` per factor, for a stack of
@@ -108,11 +103,6 @@ def _fold(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 def log_gaussian_integral(g: CenteredGaussian) -> float:
     """``log integral = l + (n/2) log pi - (1/2) log det(form)``."""
     return float(_log_integrals([g.form.mat], np.array([g.log_prefactor]))[0])
-
-
-def gaussian_integral(g: CenteredGaussian) -> float:
-    """The integral over the whole space, computed in log space."""
-    return math.exp(log_gaussian_integral(g))
 
 
 def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None) -> CenteredGaussian:
@@ -302,11 +292,6 @@ def log_frbl_ratio(datum: FrblDatum, tup: GaussianTuple) -> float:
     """``sum c_i log(int f_i) - sum d_j log(int g_j)``."""
     tup.check_layout(datum)
     return float(_log_ratios(datum, *_unstacked(tup)))
-
-
-def frbl_ratio(datum: FrblDatum, tup: GaussianTuple) -> float:
-    """``prod (int f_i)^{c_i} / prod (int g_j)^{d_j}``, computed in log space."""
-    return math.exp(log_frbl_ratio(datum, tup))
 
 
 @dataclass(frozen=True)

@@ -94,15 +94,13 @@ def check_loewner(datum: FrblDatum, tol: float = DEFAULT_LOEWNER_TOL) -> tuple[b
 
 def marginal_residuals(datum: FrblDatum, sigma: np.ndarray) -> tuple[float, float]:
     """Max Frobenius deviation of the diagonal blocks of ``sigma`` and of
-    ``Q sigma Q^T`` from identities."""
+    ``Q sigma Q^T`` from identities; NaN when any block norm is NaN."""
     layout = datum.layout
     residuals = []
     for mat, off in ((sigma, layout.in_offsets), (datum.q @ sigma @ datum.q.T, layout.out_offsets)):
         dev = mat - np.eye(len(mat))
-        r = 0.0
-        for a, b in zip(off, off[1:]):
-            r = max(r, float(np.linalg.norm(dev[a:b, a:b])))
-        residuals.append(r)
+        norms = [float(np.linalg.norm(dev[a:b, a:b])) for a, b in zip(off, off[1:])]
+        residuals.append(math.nan if any(map(math.isnan, norms)) else max(norms))
     return tuple(residuals)
 
 
@@ -426,7 +424,8 @@ def verify_trace_implication(
     xs = [np.asarray(x, dtype=float) for x in x_blocks]
     ys = [np.asarray(y, dtype=float) for y in y_blocks]
     layout.check_shapes("X and Y blocks", [x.shape for x in xs], [y.shape for y in ys])
-    if max(marginal_residuals(datum, np.asarray(sigma))) > 1e-6 or sigma.min_eigenvalue() < -1e-6:
+    if not (np.max(marginal_residuals(datum, np.asarray(sigma))) <= 1e-6
+            and sigma.min_eigenvalue() >= -1e-6):
         raise ValueError("sigma is not a marginal certificate for this datum")
 
     # the hypothesis is the negated form gap

@@ -1,10 +1,11 @@
 """Grid-based verification of heat-flow preservation.
 
 Sampled nonnegative functions on uniform rectangular grids are evolved by
-quadrature convolution with the exact heat kernel (zero extension outside
-the grid, truncation far in the kernel tails).  On top of that sit the
-pointwise-defect scan for the preservation property, the monotone
-functional for single-input data, and the long-time constant extraction.
+convolution with the heat kernel sampled at the grid offsets and scaled to
+unit mass (zero extension outside the grid, truncation far in the tails).
+On top of that sit the pointwise-defect scan for the preservation property,
+the monotone functional for single-input data, and the long-time constant
+extraction.
 
 Grids are deliberately small: at most two axes per factor and at most three
 axes over the full input sum, which covers the classical instances at desk
@@ -20,14 +21,13 @@ from functools import reduce
 import numpy as np
 
 from .datum import FrblDatum
-from .linalg import SymMatrix, _heat_weight
+from .linalg import _heat_weight
 
 __all__ = [
     "DefectField",
     "GridFunction",
     "PreservationPreconditionError",
     "default_integration_box",
-    "discrete_mass",
     "extract_constant",
     "grid_from_json",
     "grid_to_json",
@@ -162,11 +162,6 @@ class GridFunction:
         return reduce(np.add, [reduce(np.multiply, [self.values[idx], *w]) for idx, w in stencil])
 
 
-def discrete_mass(grid: GridFunction) -> float:
-    """Rectangle-rule mass ``cell_volume * sum(values)``."""
-    return grid.cell_volume * float(np.sum(grid.values))
-
-
 def grid_to_json(grid: GridFunction) -> dict:
     return {"lo": list(grid.lo), "hi": list(grid.hi), "n": list(grid.n),
             "values": grid.values.ravel().tolist()}
@@ -181,13 +176,6 @@ def grid_from_json(obj: dict) -> GridFunction:
         raise ValueError(f"grid JSON missing key {exc}") from exc
     except OverflowError as exc:
         raise ValueError(f"grid JSON number out of range: {exc}") from exc
-
-
-def _heat_kernel(quad, t: float, dim: int, det_w: float = 1.0):
-    """The heat kernel of a ``dim``-dimensional weight ``W`` at time ``t``,
-    ``(4 pi t)^{-dim/2} det(W)^{-1/2} exp(-quad / (4 t))``, at offsets ``z``
-    given ``quad = z^T W^{-1} z``."""
-    return (4.0 * math.pi * t) ** (-dim / 2.0) / math.sqrt(det_w) * np.exp(-quad / (4.0 * t))
 
 
 def _fast_len(n: int) -> int:
@@ -220,27 +208,29 @@ def _convolve_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return full[tuple(slice(s, s + n) for s, n in zip(starts, x.shape))]
 
 
-def heat_step(f: GridFunction, t: float, a_weight: SymMatrix) -> GridFunction:
-    """Evolve grid samples by quadrature convolution with the exact kernel.
+def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
+    """Evolve grid samples for time ``t`` under the weighted Laplacian with
+    positive definite ``SymMatrix`` weight ``a_weight`` (identity when omitted).
 
-    The function is extended by zero outside the grid, so the input must be
-    supported well inside it; the kernel is truncated at
-    ``8 * sqrt(2 t lambda_max(weight))`` per axis, which discards far less
-    mass than the quadrature error.  A truncation radius beyond ten times
-    the grid extent means the grid cannot resolve the evolution and raises.
-    The output lives on the same grid.
+    The kernel is ``exp(-z^T W^{-1} z / (4 t))`` at the grid offsets ``z``,
+    truncated at ``8 * sqrt(2 t lambda_max(W))`` per axis and divided by its
+    own sum, so a step keeps the mass of samples supported well inside the
+    grid (zero outside it); a kernel narrower than the spacing collapses
+    towards the identity.  A truncation radius beyond ten times the grid
+    extent raises.  The output lives on the same grid.
 
-    A diagonal weight (the identity of every scan) makes the kernel a
-    product of 1-D kernels, so the samples are convolved axis by axis, one
-    zero-padded real FFT convolution per axis; a one-axis grid takes the
-    single 1-D convolution.  Any other weight is convolved with the full
-    2-D kernel.  FFT rounding can leave values a hair below zero; they are
-    clipped to zero once, at the end.
+    A diagonal weight makes the kernel a product of 1-D kernels, convolved
+    axis by axis with one zero-padded real FFT each; any other weight is
+    convolved with the full 2-D kernel.  FFT rounding can leave values a
+    hair below zero; they are clipped to zero once, at the end.
     """
     if t <= 0:
         raise ValueError("evolution time must be positive")
-    lam, _ = _heat_weight(a_weight, f.dim, "grid")
-    r_cut = KERNEL_CUT_SIGMAS * math.sqrt(2.0 * t * lam[-1])
+    if a_weight is None:
+        w, lam_max = np.eye(f.dim), 1.0
+    else:
+        w, lam_max = a_weight.mat, _heat_weight(a_weight, f.dim, "grid")[0][-1]
+    r_cut = KERNEL_CUT_SIGMAS * math.sqrt(2.0 * t * lam_max)
     extent = max(b - a for a, b in zip(f.lo, f.hi))
     if r_cut > 10.0 * extent:
         raise ValueError(
@@ -250,11 +240,11 @@ def heat_step(f: GridFunction, t: float, a_weight: SymMatrix) -> GridFunction:
     h = f.spacing
     cuts = [min(cnt - 1, math.ceil(r_cut / hx)) for hx, cnt in zip(h, f.n)]
     offsets = [np.arange(-m, m + 1) * hx for m, hx in zip(cuts, h)]
-    w = a_weight.mat
     if np.array_equal(w, np.diag(np.diag(w))):
         out = f.values
-        for ax, (z, hx) in enumerate(zip(offsets, h)):
-            kernel = _heat_kernel((1.0 / w[ax, ax]) * z**2, t, 1, w[ax, ax]) * hx
+        for ax, z in enumerate(offsets):
+            kernel = np.exp(-z**2 / (4.0 * t * w[ax, ax]))
+            kernel /= kernel.sum()
             shape = [1] * f.dim
             shape[ax] = kernel.size
             out = _convolve_same(out, kernel.reshape(shape))
@@ -262,7 +252,8 @@ def heat_step(f: GridFunction, t: float, a_weight: SymMatrix) -> GridFunction:
         w_inv = np.linalg.inv(w)
         z1, z2 = np.meshgrid(*offsets, indexing="ij")
         quad = w_inv[0, 0] * z1**2 + 2.0 * w_inv[0, 1] * z1 * z2 + w_inv[1, 1] * z2**2
-        kernel = _heat_kernel(quad, t, 2, np.linalg.det(w)) * f.cell_volume
+        kernel = np.exp(-quad / (4.0 * t))
+        kernel /= kernel.sum()
         out = _convolve_same(f.values, kernel)
     return GridFunction(f.lo, f.hi, f.n, np.clip(out, 0.0, None))
 
@@ -384,15 +375,13 @@ def verify_preservation(
 
     # states[0] is time zero, for the precondition.  A failing heat step is
     # raised only after the checks of time zero and of the earlier times.
-    identity_in = [SymMatrix.identity(fg.dim) for fg in f_grids]
-    identity_out = [SymMatrix.identity(gg.dim) for gg in g_grids]
     states = [(f_grids, g_grids)]
     heat_error = None
     for t in times:
         try:
             states.append((f_grids, g_grids) if t == 0.0 else (
-                [heat_step(fg, t, w) for fg, w in zip(f_grids, identity_in)],
-                [heat_step(gg, t, w) for gg, w in zip(g_grids, identity_out)],
+                [heat_step(fg, t) for fg in f_grids],
+                [heat_step(gg, t) for gg in g_grids],
             ))
         except ValueError as exc:
             heat_error = exc
@@ -524,11 +513,10 @@ def monotone_functional(
     if not inside.all():
         raise ValueError("interpolation point outside the grid box")
     cell = float(np.prod([(b - a) / (cnt - 1) for a, b, cnt in zip(lo, hi, n)]))
-    identity_out = [SymMatrix.identity(gg.dim) for gg in g_grids]
 
     out = []
     for t in (float(x) for x in times):
-        gt = g_grids if t == 0.0 else [heat_step(gg, t, w) for gg, w in zip(g_grids, identity_out)]
+        gt = g_grids if t == 0.0 else [heat_step(gg, t) for gg in g_grids]
         out.append((t, cell * float(np.sum(_g_side(datum, gt, stencils, 0.0)))))
     return out
 
@@ -539,7 +527,8 @@ def _log_evolved_at_origin(grid: GridFunction, t: float) -> float:
     Computed as a single kernel quadrature over the grid support, so no
     output-grid truncation is involved and arbitrarily large times work.
     """
-    kernel = _heat_kernel(np.sum(grid.nodes() ** 2, axis=1), t, grid.dim)
+    quad = np.sum(grid.nodes() ** 2, axis=1)
+    kernel = (4.0 * math.pi * t) ** (-grid.dim / 2.0) * np.exp(-quad / (4.0 * t))
     val = float(np.sum(grid.values.ravel() * kernel)) * grid.cell_volume
     if val <= 0.0:
         raise ValueError("evolved value underflowed at the origin")

@@ -16,16 +16,11 @@ __all__ = [
     "SymMatrix",
     "mirror_upper",
     "psd_project",
-    "sqrt_psd",
 ]
 
 # Absolute tolerance on the minimum eigenvalue for Loewner-order checks when
 # the caller does not pin one explicitly.
 DEFAULT_LOEWNER_TOL = 1e-9
-
-# How far below zero an eigenvalue may sit before a matrix stops counting as
-# positive semidefinite for square-root purposes.
-PSD_TOL = 1e-10
 
 # The eigenvalue a Gaussian form or heat weight must exceed to count as positive definite.
 PD_TOL = 1e-12
@@ -120,18 +115,3 @@ def psd_project(m: SymMatrix) -> SymMatrix:
     """
     return SymMatrix(_eig_map(m.mat, _clip_negative))
 
-
-def sqrt_psd(m: SymMatrix, tol: float = PSD_TOL) -> SymMatrix:
-    """The unique positive semidefinite square root of a PSD matrix.
-
-    Eigenvalues in ``[-tol, 0)`` are treated as rounding noise and clipped;
-    anything below ``-tol`` raises.
-    """
-    def root(w: np.ndarray) -> np.ndarray:
-        if w[0] < -tol:
-            raise ValueError(
-                f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-            )
-        return np.sqrt(_clip_negative(w))
-
-    return SymMatrix(_eig_map(m.mat, root))

@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own code paths: closed-form 2x2
 eigenvalues from the characteristic polynomial, trapezoid quadrature of
-the heat convolution integral, a defect scan over the whole node set
-at once (it shares only the heat step with the library), and the sigma
-constraints built entry by entry, which re-check a separator from the
-datum alone, and the Gaussian tuple sampler, relation check and ratio one
-tuple and one factor at a time, the reference for the stacked families.
+the heat convolution integral, the rectangle-rule mass of a grid, a
+multilinear interpolant written out corner by corner, a defect scan over
+the whole node set at once (it shares only the heat step with the
+library), and the sigma constraints built entry by entry, which re-check
+a separator from the datum alone, and the Gaussian tuple sampler,
+relation check and ratio one tuple and one factor at a time, the
+reference for the stacked families.
 """
 
 import math
@@ -101,8 +103,14 @@ def separator_verifies(datum, y) -> bool:
     return bool(upper < np.linalg.eigvalsh(y)[0] * n)
 
 
-def _dense_interpolate(grid, pts) -> np.ndarray:
-    """Multilinear interpolation of a grid function at in-box points."""
+def discrete_mass(grid) -> float:
+    """Rectangle-rule mass ``cell_volume * sum(values)`` of a grid function."""
+    return grid.cell_volume * float(np.sum(grid.values))
+
+
+def dense_interpolate(grid, pts) -> np.ndarray:
+    """Multilinear interpolation of a grid function at in-box points of
+    shape ``(N, dim)``, with no stencil shared with the library's scan."""
     h = grid.spacing
     idx, frac = [], []
     for ax in range(grid.dim):
@@ -137,7 +145,7 @@ def _dense_sides(datum, f_grids, g_grids, nodes, shift):
         raise ValueError("no scan node projects inside every g grid; widen the g grids")
     g_side = np.ones(int(mask.sum()))
     for j, gg in enumerate(g_grids):
-        g_side *= (_dense_interpolate(gg, projections[j][mask]) + shift) ** float(datum.d[j])
+        g_side *= (dense_interpolate(gg, projections[j][mask]) + shift) ** float(datum.d[j])
     return f_side, g_side, mask
 
 
@@ -150,7 +158,6 @@ def dense_verify_preservation(datum, f_grids, g_grids, times, tol=1e-4, shift=0.
     for the chunked scan of :func:`frbl.heatflow.verify_preservation`.
     """
     from frbl.heatflow import DefectField, PreservationPreconditionError, heat_step
-    from frbl.linalg import SymMatrix
 
     axes = [ax for fg in f_grids for ax in fg.axes()]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -173,8 +180,8 @@ def dense_verify_preservation(datum, f_grids, g_grids, times, tol=1e-4, shift=0.
         if t == 0.0:
             ft, gt = list(f_grids), list(g_grids)
         else:
-            ft = [heat_step(fg, t, SymMatrix.identity(fg.dim)) for fg in f_grids]
-            gt = [heat_step(gg, t, SymMatrix.identity(gg.dim)) for gg in g_grids]
+            ft = [heat_step(fg, t) for fg in f_grids]
+            gt = [heat_step(gg, t) for gg in g_grids]
         f_side, g_side, mask = _dense_sides(datum, ft, gt, nodes, shift)
         defect = g_side - f_side[mask]
         if not np.all(np.isfinite(defect)):

@@ -18,7 +18,8 @@ from frbl.datum import datum_to_json, validate_datum
 from frbl.heatflow import GridFunction, grid_to_json
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 
-from _oracles import admissible_tuple, log_ratio, relation_gaps, separator_verifies
+from _oracles import (admissible_tuple, dense_interpolate, log_ratio, relation_gaps,
+                      separator_verifies)
 
 HARD = {"in_dims": [1, 1], "out_dims": [1], "c": [0.5, 0.5], "d": [1.0], "Q": [[0.6, 0.3]]}
 
@@ -328,7 +329,7 @@ class TestFlow:
         nodes = np.stack([m.ravel() for m in mesh], axis=1)
         vals = np.ones(len(nodes))
         for j in range(3):
-            vals *= g.interpolate(nodes @ datum.out_row(j).T) ** float(datum.d[j])
+            vals *= dense_interpolate(g, nodes @ datum.out_row(j).T) ** float(datum.d[j])
         f_grid = GridFunction([-4.0] * 2, [4.0] * 2, [121] * 2,
                               (0.95 * vals).reshape(121, 121))
         grids = tmp_path / "young_grids.json"
@@ -358,6 +359,20 @@ class TestFlow:
         match = re.search(r"^verdict: holds \(tol=0\.0001, nodes=(\d+) of (\d+)\)$", err, re.M)
         assert code == 0 and match, err
         assert 0 < int(match[1]) < int(match[2]) == 201**2
+
+    def test_unresolved_time_keeps_the_grids(self, pl_file, tmp_path, capsys):
+        # sqrt(2t) far below the 0.2 spacing: the step returns the grids up to
+        # FFT rounding (~1e-17 in the tails, lifted to ~1e-8 by the power 1/2
+        # of the f side), not scaled by h / sqrt(4 pi t) ~ 5.6e148
+        xs = np.linspace(-10, 10, 101)
+        g = grid_to_json(GridFunction([-10.0], [10.0], [101], np.exp(-xs**2)))
+        grids = tmp_path / "g101.json"
+        grids.write_text(json.dumps({"f": [g, g], "g": [g]}))
+        code = main(["flow-verify", pl_file, str(grids), "--times", "1e-300"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        (_, row) = list(csv.reader(captured.out.splitlines()))
+        assert abs(float(row[1])) < 1e-8
 
     def test_verify_precondition_violation_exit_one(self, pl_file, tmp_path, capsys):
         grids = grids_file(tmp_path, name="broken.json", scale_f0=2.0)

@@ -503,6 +503,20 @@ class TestTraceImplication:
                 SymMatrix(5.0 * np.eye(2)),
             )
 
+    @pytest.mark.parametrize("nan_entries", [(0, 0), (slice(None), slice(None))],
+                             ids=["one-entry", "all-entries"])
+    def test_nan_sigma_has_nan_residuals_and_is_rejected(self, nan_entries):
+        datum = prekopa_leindler(0.5)
+        sigma = np.eye(2)
+        sigma[nan_entries] = np.nan
+        assert all(math.isnan(r) for r in marginal_residuals(datum, sigma))
+        # SymMatrix refuses non-finite entries, so only an unchecked
+        # instance carries NaN as far as the certificate guard
+        unchecked = SymMatrix.__new__(SymMatrix)
+        unchecked.mat = sigma
+        with pytest.raises(ValueError, match="marginal certificate"):
+            verify_trace_implication(datum, [np.zeros((1, 1))] * 2, [np.zeros((1, 1))], unchecked)
+
     def test_rejection_sampled_pairs(self):
         rng = np.random.default_rng(21)
         for datum in (prekopa_leindler(0.25), young_frame(), loomis_whitney_2d()):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from frbl import heatflow
@@ -12,7 +14,6 @@ from frbl.heatflow import (
     GridFunction,
     PreservationPreconditionError,
     default_integration_box,
-    discrete_mass,
     extract_constant,
     grid_from_json,
     grid_to_json,
@@ -23,7 +24,7 @@ from frbl.heatflow import (
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
-from _oracles import dense_verify_preservation
+from _oracles import dense_interpolate, dense_verify_preservation, discrete_mass
 
 I1 = SymMatrix([[1.0]])
 
@@ -43,8 +44,8 @@ def bump_1d(width=3.0, center=0.0, half=12.0, n=201):
 
 
 def young_bump_inputs(shrink=0.95, half=4.0, n=161):
-    """g bumps plus an f grid built from the same interpolation the defect
-    scan uses, scaled down so the time-zero relation holds with margin."""
+    """g bumps plus an f grid built from the multilinear interpolant that the
+    defect scan uses, scaled down so the time-zero relation holds with margin."""
     datum = young_frame()
     g_grids = [bump_1d() for _ in range(3)]
     axes = [np.linspace(-half, half, n)] * 2
@@ -52,7 +53,7 @@ def young_bump_inputs(shrink=0.95, half=4.0, n=161):
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     vals = np.ones(len(nodes))
     for j in range(3):
-        vals *= g_grids[j].interpolate(nodes @ datum.out_row(j).T) ** float(datum.d[j])
+        vals *= dense_interpolate(g_grids[j], nodes @ datum.out_row(j).T) ** float(datum.d[j])
     f_grid = GridFunction([-half] * 2, [half] * 2, [n] * 2, (shrink * vals).reshape(n, n))
     return datum, [f_grid], g_grids
 
@@ -153,6 +154,32 @@ class TestHeatStep:
         ev = heat_step(bump, 0.5, I1)
         assert discrete_mass(ev) == pytest.approx(discrete_mass(bump), rel=1e-6)
 
+    def test_narrow_kernel_collapses_to_identity(self):
+        # at t = 1e-300 the kernel is one node of weight 1, not h / sqrt(4 pi t)
+        g = gaussian_grid(half=10.0, n=101)
+        ev = heat_step(g, 1e-300)
+        np.testing.assert_allclose(ev.values, g.values, rtol=0, atol=1e-15)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_keeps_discrete_mass(self, data):
+        # a Gaussian bump whose tails, widened by the kernel's truncation
+        # radius, stay inside a grid of one or two axes
+        t = data.draw(st.sampled_from([1e-300, 1e-6, 1e-3]) | st.floats(1e-3, 0.5), label="t")
+        r_cut = heatflow.KERNEL_CUT_SIGMAS * math.sqrt(2.0 * t)
+        lo, hi, n, centres, widths = [], [], [], [], []
+        for _ in range(data.draw(st.integers(1, 2), label="dim")):
+            h = data.draw(st.floats(0.1, 0.5), label="spacing")
+            centres.append(data.draw(st.floats(-1.0, 1.0), label="centre"))
+            widths.append(data.draw(st.floats(0.5, 1.5), label="width"))
+            half = abs(centres[-1]) + 7.0 * widths[-1] + r_cut + h
+            lo.append(-half)
+            hi.append(half)
+            n.append(math.ceil(2.0 * half / h) + 1)
+        f = GridFunction.sample(
+            lambda p: np.exp(-np.sum(((p - centres) / widths) ** 2, axis=1)), lo, hi, n)
+        assert discrete_mass(heat_step(f, t)) == pytest.approx(discrete_mass(f), rel=1e-13)
+
     def test_maximum_principle(self):
         bump = bump_1d(width=2.0, half=8.0, n=321)
         for t in (0.1, 0.5, 2.0):
@@ -180,8 +207,8 @@ class TestHeatStep:
         m = [min(cnt - 1, math.ceil(8 * math.sqrt(2 * t * max(diag)) / hx))
              for hx, cnt in zip(h, grid.n)]
         z1, z2 = np.meshgrid(*[np.arange(-mi, mi + 1) * hx for mi, hx in zip(m, h)], indexing="ij")
-        kernel = (np.exp(-(z1**2 / diag[0] + z2**2 / diag[1]) / (4 * t))
-                  / (4 * math.pi * t * math.sqrt(diag[0] * diag[1])) * h[0] * h[1])
+        kernel = np.exp(-(z1**2 / diag[0] + z2**2 / diag[1]) / (4 * t))
+        kernel /= kernel.sum()
         full = np.clip(signal.convolve(grid.values, kernel, mode="same", method="fft"), 0, None)
         ev = heat_step(grid, t, SymMatrix(np.diag(diag)))
         assert np.abs(ev.values - full).max() <= 1e-15 * full.max()
@@ -192,7 +219,8 @@ class TestHeatStep:
         h = g.spacing[0]
         m = min(g.n[0] - 1, math.ceil(8 * math.sqrt(2 * t) / h))
         offs = np.arange(-m, m + 1) * h
-        kern = (4 * math.pi * t) ** -0.5 * np.exp(-(offs**2) / (4 * t)) * h
+        kern = np.exp(-(offs**2) / (4 * t))
+        kern /= kern.sum()
         want = np.clip(signal.convolve(g.values, kern, mode="same", method="auto"), 0, None)
         np.testing.assert_array_equal(heat_step(g, t, I1).values, want)
 
@@ -216,7 +244,8 @@ class TestHeatStep:
         for ax, (hx, cnt) in enumerate(zip(grid.spacing, grid.n)):
             m = min(cnt - 1, math.ceil(8 * math.sqrt(2 * t) / hx))
             offs = np.arange(-m, m + 1) * hx
-            kern = (4 * math.pi * t) ** -0.5 * np.exp(-(offs**2) / (4 * t)) * hx
+            kern = np.exp(-(offs**2) / (4 * t))
+            kern /= kern.sum()
             shape = [1] * len(n)
             shape[ax] = kern.size
             want = signal.fftconvolve(want, kern.reshape(shape), mode="same")
@@ -234,8 +263,8 @@ class TestHeatStep:
         z1, z2 = np.meshgrid(*[np.arange(-mi, mi + 1) * hx for mi, hx in zip(m, h)], indexing="ij")
         w_inv = np.linalg.inv(w)
         quad = w_inv[0, 0] * z1**2 + 2 * w_inv[0, 1] * z1 * z2 + w_inv[1, 1] * z2**2
-        kernel = (np.exp(-quad / (4 * t)) / (4 * math.pi * t * math.sqrt(np.linalg.det(w)))
-                  * h[0] * h[1])
+        kernel = np.exp(-quad / (4 * t))
+        kernel /= kernel.sum()
         want = np.clip(signal.fftconvolve(grid.values, kernel, mode="same"), 0, None)
         ev = heat_step(grid, t, SymMatrix(w))
         assert np.abs(ev.values - want).max() <= 1e-15 * want.max()
@@ -248,7 +277,8 @@ class TestHeatStep:
         h = g.spacing[0]
         m = min(g.n[0] - 1, int(math.ceil(8 * math.sqrt(2 * 0.3) / h)))
         offs = np.arange(-m, m + 1) * h
-        kern = (4 * math.pi * 0.3) ** -0.5 * np.exp(-(offs**2) / (4 * 0.3)) * h
+        kern = np.exp(-(offs**2) / (4 * 0.3))
+        kern /= kern.sum()
         direct = signal.convolve(g.values, kern, mode="same", method="direct")
         np.testing.assert_allclose(ev.values, np.clip(direct, 0, None), atol=1e-12)
 
@@ -363,7 +393,7 @@ class TestMonotoneFunctional:
             assert grids[j].contains(corners @ datum.out_row(j).T).all()
 
     def test_matches_interpolation_reference_bit_for_bit(self):
-        # the product of GridFunction.interpolate powers, in factor order
+        # the product of multilinear interpolant powers, in factor order
         datum = young_frame()
         grids = [bump_1d(width=2.0, center=c, half=15.0, n=301) for c in (1.0, -0.5, 0.3)]
         times = [0.0, 0.25, 1.0]
@@ -376,7 +406,7 @@ class TestMonotoneFunctional:
             evolved = grids if t == 0.0 else [heat_step(g, t, I1) for g in grids]
             prod = np.ones(len(nodes))
             for j, g in enumerate(evolved):
-                prod *= g.interpolate(nodes @ datum.out_row(j).T) ** float(datum.d[j])
+                prod *= dense_interpolate(g, nodes @ datum.out_row(j).T) ** float(datum.d[j])
             expected.append((t, cell * float(np.sum(prod))))
         assert monotone_functional(datum, grids, times, box=(lo, hi, n)) == expected
 

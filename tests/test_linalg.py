@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from frbl.linalg import SymMatrix, psd_project, sqrt_psd
+from frbl.linalg import SymMatrix, psd_project
 
 from _oracles import eig2x2
 
@@ -103,32 +103,3 @@ class TestPsdProject:
         assert np.linalg.norm(pp.mat - p.mat) <= 1e-12 * max(1.0, np.linalg.norm(p.mat))
         assert np.linalg.eigvalsh(p.mat)[0] >= -1e-13 * max(1.0, np.linalg.norm(p.mat))
 
-
-class TestSqrtPsd:
-    def test_identity(self):
-        np.testing.assert_array_equal(sqrt_psd(SymMatrix(np.eye(3))).mat, np.eye(3))
-
-    def test_diagonal(self):
-        r = sqrt_psd(SymMatrix(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(r.mat, np.diag([2.0, 3.0]), atol=1e-15)
-
-    def test_square_recovers_input(self):
-        m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-        assert eig2x2(m.mat) == pytest.approx((1.0, 3.0), abs=1e-15)
-        r = sqrt_psd(m)
-        np.testing.assert_allclose(r.mat @ r.mat, m.mat, atol=1e-10)
-
-    def test_random_gram_matrices(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            n = int(rng.integers(1, 8))
-            g = rng.standard_normal((n, n))
-            m = SymMatrix(g @ g.T)
-            r = sqrt_psd(m)
-            assert np.linalg.eigvalsh(r.mat)[0] >= -1e-12
-            err = np.linalg.norm(r.mat @ r.mat - m.mat)
-            assert err <= 1e-10 * max(1.0, np.linalg.norm(m.mat))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            sqrt_psd(SymMatrix(np.diag([1.0, -1.0])))

@@ -15,22 +15,42 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 SRC = Path(frbl.__file__).resolve().parent
 
 # Names the package exported before its surface was built from the
-# submodules' own ``__all__``; all of them are still exported.
+# submodules' own ``__all__``, less those in ``REMOVED``; all of them are
+# still exported.
 EARLIER_EXPORTS = (
     "CenteredGaussian", "DatumValidationError", "DefectField", "EquivalenceTransform",
     "ExtremizerVerdict", "FrblDatum", "GaussianTuple", "GeometricCertificate", "GridFunction",
     "PreservationPreconditionError", "RelationResult", "SigmaSearchResult", "SpaceLayout",
     "SymMatrix", "apply_equivalence", "check_geometric", "check_loewner", "compose_transforms",
-    "datum_to_json", "default_integration_box", "discrete_mass", "evolve_tuple",
-    "extract_constant", "extremizer_check", "find_sigma", "frbl_ratio", "gaussian_integral",
-    "geometrize_from_extremizers", "grid_from_json", "grid_to_json", "heat_evolve", "heat_step",
+    "datum_to_json", "default_integration_box", "evolve_tuple", "extract_constant",
+    "extremizer_check", "find_sigma", "geometrize_from_extremizers", "grid_from_json",
+    "grid_to_json", "heat_evolve", "heat_step",
     "holder", "log_frbl_ratio", "log_gaussian_integral", "long_time_limit", "loomis_whitney_2d",
     "make_datum", "marginal_residuals", "monotone_functional", "prekopa_leindler",
     "psd_project", "random_admissible_tuple", "relation_check", "rescaled_heat_value",
-    "sqrt_psd", "transform_from_json", "transform_to_json", "tuple_from_json", "tuple_to_json",
+    "transform_from_json", "transform_to_json", "tuple_from_json", "tuple_to_json",
     "validate_datum", "verify_adjoint_contraction", "verify_preservation",
     "verify_trace_implication", "young_frame",
 )
+
+# Earlier exports deleted because nothing but their own tests called them.
+REMOVED = ("lambda_maps", "datum_from_json", "discrete_mass", "frbl_ratio", "gaussian_integral",
+           "sqrt_psd")
+
+# Exports that nothing in ``src/frbl`` or ``perfbench/`` uses, each kept for
+# the reason given.
+LEMMA = "a proof step of the paper, reproduced by tests/test_acceptance.py"
+UNUSED_EXPORTS = {
+    "extract_constant": LEMMA,
+    "long_time_limit": LEMMA,
+    "rescaled_heat_value": LEMMA,
+    "verify_adjoint_contraction": LEMMA,
+    "verify_trace_implication": LEMMA,
+    "grid_to_json": "the JSON inverse of grid_from_json, which the CLI reads grids with",
+    "tuple_to_json": "the JSON inverse of tuple_from_json, which the CLI reads tuples with",
+    "compose_transforms": "planned geometrization by operator scaling composes its rounds with it",
+    "transform_from_json": "a planned re-check of a transformed datum reads the transform with it",
+}
 
 
 def test_all_is_unique_and_resolves():
@@ -38,7 +58,43 @@ def test_all_is_unique_and_resolves():
     for name in frbl.__all__:
         assert hasattr(frbl, name), name
     assert set(EARLIER_EXPORTS) <= set(frbl.__all__)
-    assert not {"lambda_maps", "datum_from_json"} & set(frbl.__all__)
+    assert not set(REMOVED) & set(frbl.__all__)
+
+
+def _referenced(tree) -> set[str]:
+    """Names and attribute names that the module ``tree`` reads, outside the
+    ``__all__`` list and outside the top-level statement defining each name."""
+    names = set()
+    for stmt in tree.body:
+        targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+        defined = {getattr(stmt, "name", None), *(getattr(t, "id", None) for t in targets)}
+        if "__all__" not in defined:
+            names |= {node.id if isinstance(node, ast.Name) else node.attr
+                      for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))
+                      and isinstance(node.ctx, ast.Load)} - defined
+    return names
+
+
+def _perfbench_words() -> set[str]:
+    """Identifiers, attribute names, imported names and string constants of
+    ``perfbench/*.py``: the tracer patches some names given as strings."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.Constant: "value"}
+    words = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            word = getattr(node, fields.get(type(node), ""), None)
+            if isinstance(word, str):
+                words.add(word)
+    return words
+
+
+def test_every_export_has_a_caller():
+    """Each exported name is read somewhere in ``src/frbl`` other than its
+    own definition, or by the benchmark, or is listed with its reason."""
+    used = _perfbench_words()
+    for path in SRC.glob("*.py"):
+        used |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
+    assert {name for name in frbl.__all__ if name not in used} == set(UNUSED_EXPORTS)
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
