@@ -213,11 +213,13 @@ def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
     positive definite ``SymMatrix`` weight ``a_weight`` (identity when omitted).
 
     The kernel is ``exp(-z^T W^{-1} z / (4 t))`` at the grid offsets ``z``,
-    truncated at ``8 * sqrt(2 t lambda_max(W))`` per axis and divided by its
-    own sum, so a step keeps the mass of samples supported well inside the
-    grid (zero outside it); a kernel narrower than the spacing collapses
-    towards the identity.  A truncation radius beyond ten times the grid
-    extent raises.  The output lives on the same grid.
+    truncated at ``8 * sqrt(2 t lambda_max(W))`` per axis and divided by the
+    sum of the whole truncated kernel, also where the grid is too small to
+    use all of it.  A step so keeps the mass of samples (zero outside the
+    grid) when their support plus the truncation radius lies inside the
+    grid; a kernel narrower than the spacing collapses towards the identity.
+    A truncation radius beyond ten times the grid extent raises.  The output
+    lives on the same grid.
 
     A diagonal weight makes the kernel a product of 1-D kernels, convolved
     axis by axis with one zero-padded real FFT each; any other weight is
@@ -238,23 +240,35 @@ def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
             f"{extent:.3g}; the grid cannot resolve this evolution time accurately"
         )
     h = f.spacing
-    cuts = [min(cnt - 1, math.ceil(r_cut / hx)) for hx, cnt in zip(h, f.n)]
-    offsets = [np.arange(-m, m + 1) * hx for m, hx in zip(cuts, h)]
+    # offsets inside the truncation radius, and those a grid of this size uses
+    reach = [math.ceil(r_cut / hx) for hx in h]
+    cuts = [min(cnt - 1, m) for m, cnt in zip(reach, f.n)]
     if np.array_equal(w, np.diag(np.diag(w))):
         out = f.values
-        for ax, z in enumerate(offsets):
-            kernel = np.exp(-z**2 / (4.0 * t * w[ax, ax]))
-            kernel /= kernel.sum()
+        for ax, (m, c, hx) in enumerate(zip(reach, cuts, h)):
+            kernel = np.exp(-(np.arange(-m, m + 1) * hx) ** 2 / (4.0 * t * w[ax, ax]))
+            kernel = kernel[m - c:m + c + 1] / kernel.sum()
             shape = [1] * f.dim
             shape[ax] = kernel.size
             out = _convolve_same(out, kernel.reshape(shape))
     else:
         w_inv = np.linalg.inv(w)
-        z1, z2 = np.meshgrid(*offsets, indexing="ij")
-        quad = w_inv[0, 0] * z1**2 + 2.0 * w_inv[0, 1] * z1 * z2 + w_inv[1, 1] * z2**2
-        kernel = np.exp(-quad / (4.0 * t))
-        kernel /= kernel.sum()
-        out = _convolve_same(f.values, kernel)
+
+        def kernel_at(z1, z2):
+            quad = w_inv[0, 0] * z1**2 + 2.0 * w_inv[0, 1] * z1 * z2 + w_inv[1, 1] * z2**2
+            return np.exp(-quad / (4.0 * t))
+
+        kernel = kernel_at(*np.meshgrid(*[np.arange(-c, c + 1) * hx for c, hx in zip(cuts, h)],
+                                        indexing="ij"))
+        if cuts == reach:
+            total = kernel.sum()
+        else:
+            # the grid cuts the kernel: sum the whole truncated kernel in row blocks
+            z1, z2 = [np.arange(-m, m + 1) * hx for m, hx in zip(reach, h)]
+            rows = max(1, SCAN_CHUNK // z2.size)
+            total = sum(kernel_at(*np.meshgrid(z1[i:i + rows], z2, indexing="ij")).sum()
+                        for i in range(0, z1.size, rows))
+        out = _convolve_same(f.values, kernel / total)
     return GridFunction(f.lo, f.hi, f.n, np.clip(out, 0.0, None))
 
 

@@ -120,7 +120,8 @@ class TestHeatStep:
         rel = np.abs(ev.values - closed)[mask] / closed[mask]
         assert rel.max() <= 1e-6
 
-    @pytest.mark.parametrize("t", [0.1, 1.0])
+    # at t = 100 the grid holds only part of the truncated kernel
+    @pytest.mark.parametrize("t", [0.1, 1.0, 100.0])
     def test_matches_gaussian_closed_form(self, t):
         g = gaussian_grid(half=8.0, n=321)
         ev = heat_step(g, t, I1)
@@ -131,7 +132,7 @@ class TestHeatStep:
         rel = np.abs(ev.values - closed)[mask] / closed[mask]
         assert rel.max() <= 1e-6
 
-    @pytest.mark.parametrize("t", [0.1, 1.0])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_matches_closed_form_2d_anisotropic(self, t):
         weight = SymMatrix([[1.2, 0.3], [0.3, 0.8]])
         form = SymMatrix([[0.9, -0.2], [-0.2, 1.4]])
@@ -203,12 +204,14 @@ class TestHeatStep:
         # the same weight and truncation must give the same samples
         grid = GridFunction.sample(lambda p: np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2),
                                    [-6, -6], [6, 6], [201, 201])
+        # the kernel is normalised over the truncation radius, then cut to the grid
         h = grid.spacing
-        m = [min(cnt - 1, math.ceil(8 * math.sqrt(2 * t * max(diag)) / hx))
-             for hx, cnt in zip(h, grid.n)]
-        z1, z2 = np.meshgrid(*[np.arange(-mi, mi + 1) * hx for mi, hx in zip(m, h)], indexing="ij")
+        reach = [math.ceil(8 * math.sqrt(2 * t * max(diag)) / hx) for hx in h]
+        z1, z2 = np.meshgrid(*[np.arange(-r, r + 1) * hx for r, hx in zip(reach, h)], indexing="ij")
         kernel = np.exp(-(z1**2 / diag[0] + z2**2 / diag[1]) / (4 * t))
         kernel /= kernel.sum()
+        m = [min(cnt - 1, r) for r, cnt in zip(reach, grid.n)]
+        kernel = kernel[reach[0] - m[0]:reach[0] + m[0] + 1, reach[1] - m[1]:reach[1] + m[1] + 1]
         full = np.clip(signal.convolve(grid.values, kernel, mode="same", method="fft"), 0, None)
         ev = heat_step(grid, t, SymMatrix(np.diag(diag)))
         assert np.abs(ev.values - full).max() <= 1e-15 * full.max()
@@ -242,10 +245,10 @@ class TestHeatStep:
                                    [-x for x in half], half, n)
         want = grid.values
         for ax, (hx, cnt) in enumerate(zip(grid.spacing, grid.n)):
-            m = min(cnt - 1, math.ceil(8 * math.sqrt(2 * t) / hx))
-            offs = np.arange(-m, m + 1) * hx
-            kern = np.exp(-(offs**2) / (4 * t))
-            kern /= kern.sum()
+            reach = math.ceil(8 * math.sqrt(2 * t) / hx)
+            m = min(cnt - 1, reach)
+            kern = np.exp(-((np.arange(-reach, reach + 1) * hx) ** 2) / (4 * t))
+            kern = kern[reach - m:reach + m + 1] / kern.sum()
             shape = [1] * len(n)
             shape[ax] = kern.size
             want = signal.fftconvolve(want, kern.reshape(shape), mode="same")
@@ -259,12 +262,14 @@ class TestHeatStep:
                                    [-6, -6], [6, 6], [201, 161])
         h = grid.spacing
         r_cut = 8 * math.sqrt(2 * t * np.linalg.eigvalsh(w)[-1])
-        m = [min(cnt - 1, math.ceil(r_cut / hx)) for hx, cnt in zip(h, grid.n)]
-        z1, z2 = np.meshgrid(*[np.arange(-mi, mi + 1) * hx for mi, hx in zip(m, h)], indexing="ij")
+        reach = [math.ceil(r_cut / hx) for hx in h]
+        z1, z2 = np.meshgrid(*[np.arange(-r, r + 1) * hx for r, hx in zip(reach, h)], indexing="ij")
         w_inv = np.linalg.inv(w)
         quad = w_inv[0, 0] * z1**2 + 2 * w_inv[0, 1] * z1 * z2 + w_inv[1, 1] * z2**2
         kernel = np.exp(-quad / (4 * t))
         kernel /= kernel.sum()
+        m = [min(cnt - 1, r) for r, cnt in zip(reach, grid.n)]
+        kernel = kernel[reach[0] - m[0]:reach[0] + m[0] + 1, reach[1] - m[1]:reach[1] + m[1] + 1]
         want = np.clip(signal.fftconvolve(grid.values, kernel, mode="same"), 0, None)
         ev = heat_step(grid, t, SymMatrix(w))
         assert np.abs(ev.values - want).max() <= 1e-15 * want.max()
