@@ -145,9 +145,9 @@ def _write_csv(rows, out: str | None) -> None:
     _write(out, lambda fh: csv.writer(fh).writerows(rows))
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _parse_numbers(text: str, what: str, kind=float) -> list:
     with _input_errors(f"cannot parse {what} {text!r}: "):
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
 
 
 def _cmd_gen(args) -> int:
@@ -156,7 +156,7 @@ def _cmd_gen(args) -> int:
             raise InputError("custom needs a path to a datum JSON file")
         datum = _load_datum(args.path)
     else:
-        weights = _parse_floats(args.weights, "--weights") if args.weights else None
+        weights = _parse_numbers(args.weights, "--weights") if args.weights else None
         with _input_errors():
             datum = generate(args.name, lam=args.lam, weights=weights, dim=args.dim)
     _emit(datum_to_json(datum), args.out)
@@ -248,7 +248,7 @@ def _gaussian_op(datum, tup, args) -> int:
 def _cmd_flow_verify(args) -> int:
     datum = _load_datum(args.datum)
     f_grids, g_grids = _load_grids(args.grids, need_f=True)
-    times = _parse_floats(args.times, "--times")
+    times = _parse_numbers(args.times, "--times")
     try:
         field = hf.verify_preservation(datum, f_grids, g_grids, times, tol=args.tol,
                                        shift=args.shift,
@@ -273,17 +273,13 @@ def _cmd_flow_verify(args) -> int:
 def _cmd_flow_monotone(args) -> int:
     datum = _load_datum(args.datum)
     _, g_grids = _load_grids(args.grids, need_f=False)
-    times = _parse_floats(args.times, "--times")
+    times = _parse_numbers(args.times, "--times")
     box = None
     if args.box_lo or args.box_hi or args.box_n:
         if not (args.box_lo and args.box_hi and args.box_n):
             raise InputError("--box-lo, --box-hi and --box-n must be given together")
-        with _input_errors("--box-n must hold integers: ", (ValueError, OverflowError)):
-            box = (
-                tuple(_parse_floats(args.box_lo, "--box-lo")),
-                tuple(_parse_floats(args.box_hi, "--box-hi")),
-                tuple(int(x) for x in _parse_floats(args.box_n, "--box-n")),
-            )
+        box = (_parse_numbers(args.box_lo, "--box-lo"), _parse_numbers(args.box_hi, "--box-hi"),
+               _parse_numbers(args.box_n, "--box-n", int))
     with _input_errors():
         series = hf.monotone_functional(datum, g_grids, times, box=box)
     _write_csv([["t", "Q"]] + [[t, q] for t, q in series], args.out)

@@ -36,8 +36,9 @@ __all__ = [
 # scaling condition is held to near machine precision.
 SCALING_TOL = 1e-12
 
-# A transform block with |det| at or below this is treated as singular.
-DET_TOL = 1e-12
+# A transform block whose 2-norm condition number reaches this is treated as
+# singular; the determinant would also reject well-conditioned scaled blocks.
+COND_MAX = 1e12
 
 # Largest total dimension of the input sum and of the output sum.  The sigma
 # search's constraint matrix grows like the fourth power of the dimension,
@@ -274,8 +275,8 @@ class EquivalenceTransform:
                     raise ValueError(f"{label}: blocks must be square, got shape {b.shape}")
                 if not np.all(np.isfinite(b)):
                     raise ValueError(f"{label}: block entries must be finite")
-                if abs(np.linalg.det(b)) <= DET_TOL:
-                    raise ValueError(f"{label}: block is singular (|det| <= {DET_TOL})")
+                if not np.linalg.cond(b) < COND_MAX:
+                    raise ValueError(f"{label}: block is singular (cond >= {COND_MAX:g})")
                 b.setflags(write=False)
             object.__setattr__(self, name, blocks)
 

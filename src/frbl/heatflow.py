@@ -44,9 +44,24 @@ KERNEL_CUT_SIGMAS = 8.0
 
 _BOUND_EPS = 1e-9
 
-# Nodes per chunk of the defect scan; it bounds the scan's working memory
-# whatever the node count.
-SCAN_CHUNK = 1 << 16
+# Nodes per chunk of the grid walk; it bounds the working memory of the
+# defect scan and of the monotone functional whatever the node count.
+SCAN_CHUNK = 1 << 15
+
+
+def _check_axes(lo, hi, n) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
+    """``(lo, hi, n)`` as float and int tuples, after the per-axis rule: one
+    triple per axis, finite ``hi > lo`` and an integer count of at least two."""
+    lo, hi, n = tuple(float(x) for x in lo), tuple(float(x) for x in hi), tuple(n)
+    if not len(lo) == len(hi) == len(n):
+        raise ValueError(f"each axis needs one (lo, hi, n) triple, got {len(lo)} lower "
+                         f"bounds, {len(hi)} upper bounds and {len(n)} counts")
+    for a, b, cnt in zip(lo, hi, n):
+        if not isinstance(cnt, (int, np.integer)) or cnt < 2:
+            raise ValueError(f"each axis needs an integer count of at least two, got {cnt!r}")
+        if not b > a or not math.isfinite(b - a):
+            raise ValueError("each axis needs finite bounds hi > lo")
+    return lo, hi, tuple(int(cnt) for cnt in n)
 
 
 def _axes(lo, hi, n) -> list[np.ndarray]:
@@ -68,14 +83,9 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        lo = tuple(float(x) for x in self.lo)
-        hi = tuple(float(x) for x in self.hi)
-        n = tuple(int(x) for x in self.n)
-        if not 1 <= len(n) <= 2 or len(lo) != len(n) or len(hi) != len(n):
-            raise ValueError("grids must have one or two axes with matching bounds")
-        for a, b, cnt in zip(lo, hi, n):
-            if cnt < 2 or not b > a or not math.isfinite(b - a):
-                raise ValueError("each axis needs finite bounds hi > lo and at least two samples")
+        lo, hi, n = _check_axes(self.lo, self.hi, self.n)
+        if not 1 <= len(n) <= 2:
+            raise ValueError(f"grids must have one or two axes, got {len(n)}")
         values = np.asarray(self.values, dtype=float)
         if values.shape != n:
             raise ValueError(f"values shape {values.shape} does not match n {n}")
@@ -91,9 +101,7 @@ class GridFunction:
     @classmethod
     def sample(cls, fn, lo, hi, n) -> "GridFunction":
         """Sample ``fn`` (vectorized over an ``(N, dim)`` point array) on the grid."""
-        lo = tuple(float(x) for x in np.atleast_1d(lo))
-        hi = tuple(float(x) for x in np.atleast_1d(hi))
-        n = tuple(int(x) for x in np.atleast_1d(n))
+        lo, hi, n = _check_axes(np.atleast_1d(lo), np.atleast_1d(hi), np.atleast_1d(n))
         return cls(lo, hi, n, np.asarray(fn(_mesh(_axes(lo, hi, n))), dtype=float).reshape(n))
 
     @property
@@ -136,11 +144,8 @@ class GridFunction:
 
     def _stencil(self, pts: np.ndarray) -> list:
         """Corner indices and per-axis weights of the multilinear interpolant
-        at in-box points, one ``(index tuple, weights)`` pair per cell corner.
-
-        They depend only on the grid geometry, so one stencil serves every
-        grid of the same box and shape, such as the heat evolutions of this one.
-        """
+        at in-box points, one ``(index tuple, weights)`` pair per cell corner;
+        they serve every grid of the same box and shape."""
         h = self.spacing
         lower, weights = [], []
         for ax in range(self.dim):
@@ -169,9 +174,8 @@ def grid_to_json(grid: GridFunction) -> dict:
 
 def grid_from_json(obj: dict) -> GridFunction:
     try:
-        n = tuple(int(x) for x in obj["n"])
-        values = np.asarray(obj["values"], dtype=float).reshape(n)
-        return GridFunction(tuple(obj["lo"]), tuple(obj["hi"]), n, values)
+        lo, hi, n = _check_axes(obj["lo"], obj["hi"], obj["n"])
+        return GridFunction(lo, hi, n, np.asarray(obj["values"], dtype=float).reshape(n))
     except KeyError as exc:
         raise ValueError(f"grid JSON missing key {exc}") from exc
     except OverflowError as exc:
@@ -307,10 +311,10 @@ class DefectField:
 
 def _check_flow_inputs(datum: FrblDatum, f_grids, g_grids) -> None:
     layout = datum.layout
-    layout.check_shapes("grid axis counts", [(fg.dim,) for fg in f_grids],
-                        [(gg.dim,) for gg in g_grids], lambda n: (n,))
+    f_shapes = None if f_grids is None else [(fg.dim,) for fg in f_grids]
+    layout.check_shapes("grid axis counts", f_shapes, [(gg.dim,) for gg in g_grids], lambda n: (n,))
     if layout.dim_in > 3:
-        raise ValueError("defect scans are limited to input sums of dimension at most 3")
+        raise ValueError("grid scans are limited to input sums of dimension at most 3")
 
 
 def _interior(datum: FrblDatum, g_grids, nodes):
@@ -323,6 +327,25 @@ def _interior(datum: FrblDatum, g_grids, nodes):
     return mask, [gg._stencil(pts) for gg, pts in zip(g_grids, projections)]
 
 
+def _walk(datum: FrblDatum, g_grids, axes):
+    """The nodes of the product of the 1-D ``axes``, last axis fastest, in
+    chunks of ``max(1, SCAN_CHUNK // n_last)`` whole rows of the last axis.
+
+    Yields per chunk its rows' indices into the leading axes, its ``(N, dim)``
+    nodes, and :func:`_interior`'s mask and stencils, which serve every heat
+    evolution of ``g_grids`` since evolution keeps each box.  Working memory
+    is a few dozen arrays of ``max(SCAN_CHUNK, n_last)`` nodes at most."""
+    shape = tuple(len(ax) for ax in axes)
+    dim, n_rows = len(shape), math.prod(shape[:-1])
+    step = max(1, SCAN_CHUNK // shape[-1])
+    for start in range(0, n_rows, step):
+        rows = np.arange(start, min(start + step, n_rows))
+        row = np.unravel_index(rows, shape[:-1]) if dim > 1 else ()
+        lead = [coords[i, None] for coords, i in zip(axes, row)]
+        nodes = np.stack(np.broadcast_arrays(*lead, axes[-1]), axis=-1).reshape(-1, dim)
+        yield (row, nodes, *_interior(datum, g_grids, nodes))
+
+
 def _g_side(datum: FrblDatum, g_grids, stencils, shift: float) -> np.ndarray:
     """``prod_j (g_j + shift)^{d_j}`` at the points of the stencils."""
     return reduce(np.multiply, [
@@ -332,11 +355,8 @@ def _g_side(datum: FrblDatum, g_grids, stencils, shift: float) -> np.ndarray:
 
 
 def _sides_at_nodes(datum: FrblDatum, f_grids, g_grids, nodes, shift: float):
-    """f side at every node of the full product grid; g side and the interior mask.
-
-    The whole-grid form of one scan chunk; ``perfbench/item1_figures.py``
-    times the per-node work with it.
-    """
+    """The f side at every node of the full product grid, the g side and the
+    interior mask: one scan chunk as a whole grid, timed by ``perfbench``."""
     f_side = reduce(np.multiply.outer, [fg.values ** ci for fg, ci in zip(f_grids, datum.c)])
     mask, stencils = _interior(datum, g_grids, nodes)
     return f_side.ravel(), _g_side(datum, g_grids, stencils, shift), mask
@@ -365,20 +385,14 @@ def verify_preservation(
     ``shift`` adds a constant to the g side before exponentiation (a
     regularization for probing boundary behavior; zero by default).
 
-    The factors are evolved first; the nodes are then visited once, in flat
-    order, in chunks of ``max(1, SCAN_CHUNK // n_last)`` whole rows of the
-    last scan axis, whose ``n_last`` nodes are one axis of one f grid.  A
-    chunk's coordinates, g projections, interior mask and interpolation
-    stencils are computed once and serve every time, because heat evolution
-    keeps each grid's box: the mask does not depend on time, so
-    ``nodes_evaluated`` is one count for all times, and it is applied only
-    to chunks with exterior nodes.  A chunk's f side is the broadcast
-    product of the factor powers at its rows.  Working memory is a few
-    dozen arrays of at most ``max(SCAN_CHUNK, n_last)`` nodes plus the
-    evolved grids, whatever the node count (a three-axis scan at three
-    times peaks near 9.5 MB at 161^3 and 9.6 MB at 241^3 nodes); only
-    ``collect_fields`` returns full-size data, one ``(nodes_evaluated,
-    dim + 1)`` array per time.
+    The factors are evolved first; each time keeps its f powers and g grids.
+    The nodes are then walked once by :func:`_walk`, and a chunk's f side is
+    the broadcast product of the powers at its rows.  The interior mask does
+    not depend on time, so ``nodes_evaluated`` is one count for all times.
+    Working memory is the walk's plus those powers and grids (the 401^2
+    young-frame scan at three times peaks near 15 MB, the 161^3 three-axis
+    one near 6 MB); only ``collect_fields`` returns full-size data, one
+    ``(nodes_evaluated, dim + 1)`` array per time.
     """
     _check_flow_inputs(datum, f_grids, g_grids)
     times = [float(t) for t in times]
@@ -389,26 +403,22 @@ def verify_preservation(
 
     # states[0] is time zero, for the precondition.  A failing heat step is
     # raised only after the checks of time zero and of the earlier times.
-    states = [(f_grids, g_grids)]
+    states = [([fg.values ** ci for fg, ci in zip(f_grids, datum.c)], g_grids)]
     heat_error = None
     for t in times:
         try:
-            states.append((f_grids, g_grids) if t == 0.0 else (
-                [heat_step(fg, t) for fg in f_grids],
+            states.append(states[0] if t == 0.0 else (
+                [heat_step(fg, t).values ** ci for fg, ci in zip(f_grids, datum.c)],
                 [heat_step(gg, t) for gg in g_grids],
             ))
         except ValueError as exc:
             heat_error = exc
             break
     scanned = times[:len(states) - 1]
-    f_powers = [[fg.values ** ci for fg, ci in zip(ft, datum.c)] for ft, _ in states]
 
-    shape = tuple(cnt for fg in f_grids for cnt in fg.n)
     axes = [ax for fg in f_grids for ax in fg.axes()]
-    dim, n_last = len(shape), shape[-1]
-    n_rows = math.prod(shape[:-1])
+    dim = len(axes)
     factor_axes = np.cumsum([0] + [fg.dim for fg in f_grids])
-
     n_nodes = 0
     g_max = [-math.inf] * len(states)
     low_nodes, low_defects = [], []  # time-zero candidates for the precondition
@@ -416,22 +426,13 @@ def verify_preservation(
     argmins = [None] * len(scanned)
     finite = [True] * len(scanned)
     fields = [[] for _ in scanned]
-    step = max(1, SCAN_CHUNK // n_last)  # whole rows along the last axis
-    for start in range(0, n_rows, step):
-        rows = np.arange(start, min(start + step, n_rows))
-        row = np.unravel_index(rows, shape[:-1]) if dim > 1 else ()
-        lead = [coords[i, None] for coords, i in zip(axes, row)]
-        nodes = np.stack(np.broadcast_arrays(*lead, axes[-1]), axis=-1).reshape(-1, dim)
-        mask, stencils = _interior(datum, g_grids, nodes)
+    for row, nodes, mask, stencils in _walk(datum, g_grids, axes):
         inside = slice(None) if mask.all() else mask  # index only when some node is exterior
         nodes = nodes[inside]
         if not len(nodes):
             continue
         n_nodes += len(nodes)
-        for s, ((_, gt), fp) in enumerate(zip(states, f_powers)):
-            k = s - 1  # index into the scanned times
-            if s and not finite[k]:
-                continue
+        for s, (fp, gt) in enumerate(states):
             # factor powers at the chunk's rows, multiplied in factor order; the
             # last factor's runs along the last axis too
             f_side = reduce(np.multiply, [p[row[a:b - 1]] if b == dim else p[row[a:b]][:, None]
@@ -445,9 +446,9 @@ def verify_preservation(
                 low_nodes.append(nodes[low])
                 low_defects.append(defect[low])
                 continue
+            k = s - 1  # index into the scanned times
             if not np.all(np.isfinite(defect)):
                 finite[k] = False
-                continue
             i_min = int(np.argmin(defect))
             if defect[i_min] < min_defects[k]:  # strict: the first minimum wins
                 min_defects[k] = float(defect[i_min])
@@ -507,43 +508,43 @@ def monotone_functional(
     """Values of ``t -> integral over the input sum of prod_j (evolved g_j)^{d_j}(Q_j x)``.
 
     Only defined for single-input data with unit weight (``k == 1``,
-    ``c == (1,)``); nondecreasing in ``t`` for geometric data.  ``box`` is
-    ``(lo, hi, n)`` for the integration grid; by default it is sized so all
-    projections stay inside the g grids.
+    ``c == (1,)``) and at most three input axes; nondecreasing in ``t`` for
+    geometric data.  ``box`` is ``(lo, hi, n)`` for the integration grid, one
+    triple per input axis; by default it is sized so all projections stay
+    inside the g grids.
 
-    The integrand is the defect scan's g side, evaluated on interpolation
-    stencils built once for the box, since heat evolution keeps each grid's
-    box; a box node projecting outside a g grid raises.
+    The g grids are evolved for every time first, then the integrand (the
+    scan's g side) is summed over the :func:`_walk` of the box; a box node
+    projecting outside a g grid raises.
     """
     layout = datum.layout
     if layout.k != 1 or abs(float(datum.c[0]) - 1.0) > 1e-12:
         raise ValueError("the monotone functional requires k == 1 and c == (1,)")
-    layout.check_shapes("grid axis counts", out_shapes=[(gg.dim,) for gg in g_grids],
-                        shape=lambda n: (n,))
-    if box is None:
-        box = default_integration_box(datum, g_grids)
-    lo, hi, n = box
-    inside, stencils = _interior(datum, g_grids, _mesh(_axes(lo, hi, n)))
-    if not inside.all():
-        raise ValueError("interpolation point outside the grid box")
+    _check_flow_inputs(datum, None, g_grids)
+    lo, hi, n = _check_axes(*(default_integration_box(datum, g_grids) if box is None else box))
+    if len(n) != layout.dim_in:
+        raise ValueError(f"the box has {len(n)} axes; the input sum has {layout.dim_in}")
+    times = [float(t) for t in times]
+    evolved = [g_grids if t == 0.0 else [heat_step(gg, t) for gg in g_grids] for t in times]
+    sums = [0.0] * len(times)
+    for _, _, inside, stencils in _walk(datum, g_grids, _axes(lo, hi, n)):
+        if not inside.all():
+            raise ValueError("interpolation point outside the grid box")
+        for k, gt in enumerate(evolved):
+            sums[k] += float(np.sum(_g_side(datum, gt, stencils, 0.0)))
     cell = float(np.prod([(b - a) / (cnt - 1) for a, b, cnt in zip(lo, hi, n)]))
-
-    out = []
-    for t in (float(x) for x in times):
-        gt = g_grids if t == 0.0 else [heat_step(gg, t) for gg in g_grids]
-        out.append((t, cell * float(np.sum(_g_side(datum, gt, stencils, 0.0)))))
-    return out
+    return [(t, cell * total) for t, total in zip(times, sums)]
 
 
 def _log_evolved_at_origin(grid: GridFunction, t: float) -> float:
-    """log of the identity-weight heat evolution of the grid samples at 0.
+    """log of ``(4 pi t)^{dim/2}`` times the identity-weight heat evolution
+    of the grid samples at 0.
 
-    Computed as a single kernel quadrature over the grid support, so no
-    output-grid truncation is involved and arbitrarily large times work.
+    A single quadrature against ``exp(-|x|^2 / 4t)`` over the grid support,
+    so no output-grid truncation is involved and arbitrarily large times work.
     """
     quad = np.sum(grid.nodes() ** 2, axis=1)
-    kernel = (4.0 * math.pi * t) ** (-grid.dim / 2.0) * np.exp(-quad / (4.0 * t))
-    val = float(np.sum(grid.values.ravel() * kernel)) * grid.cell_volume
+    val = float(np.sum(grid.values.ravel() * np.exp(-quad / (4.0 * t)))) * grid.cell_volume
     if val <= 0.0:
         raise ValueError("evolved value underflowed at the origin")
     return math.log(val)
@@ -562,8 +563,7 @@ def extract_constant(datum: FrblDatum, f_grids, g_grids, t_large: float) -> floa
     if t_large <= 0:
         raise ValueError("t_large must be positive")
     log_ratio = sum(
-        sign * float(w) * (0.5 * grid.dim * math.log(4.0 * math.pi * t_large)
-                           + _log_evolved_at_origin(grid, t_large))
+        sign * float(w) * _log_evolved_at_origin(grid, t_large)
         for sign, weights, grids in ((1.0, datum.c, f_grids), (-1.0, datum.d, g_grids))
         for w, grid in zip(weights, grids)
     )

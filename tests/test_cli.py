@@ -286,6 +286,20 @@ class TestGaussian:
         assert report["certificate"]["verdict"] == "geometric"
         np.testing.assert_allclose(report["datum"]["Q"], [[0.5, 0.5]], atol=1e-12)
 
+    def test_geometrize_with_large_scaled_weights(self, tmp_path, capsys):
+        # C = 3.2e-5 I and D = 3.2e4 I: |det C| is far below 1e-12, yet C is
+        # perfectly conditioned and the transformed datum is the identity
+        datum, tup = tmp_path / "eye3.json", tmp_path / "weights.json"
+        eye = np.eye(3).tolist()
+        datum.write_text(json.dumps({"in_dims": [3], "out_dims": [3], "c": [1.0], "d": [1.0],
+                                     "Q": eye}))
+        form = (1e9 * np.eye(3)).tolist()
+        tup.write_text(json.dumps({"f": [{"form": form}], "g": [{"form": form}]}))
+        assert main(["gaussian", str(datum), str(tup), "--op", "geometrize"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certificate"]["verdict"] == "geometric"
+        np.testing.assert_allclose(report["datum"]["Q"], eye, atol=1e-12)
+
     def test_layout_mismatch_exit_two(self, negative_file, tmp_path, capsys):
         tup = tmp_path / "short.json"
         tup.write_text(json.dumps({
@@ -640,6 +654,63 @@ class TestContract:
         for counts in ("inf,5", "nan,5"):
             assert main(argv + ["--box-n", counts]) == 2
             assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("box", [
+        ["--box-lo=-1,-1", "--box-hi=1,1", "--box-n", "1,1"],
+        ["--box-lo=-1,-1", "--box-hi=1,1", "--box-n", "0,0"],
+        ["--box-lo=-1,-1", "--box-hi=1,1", "--box-n", "5.5,5"],
+        ["--box-lo=-1,-1", "--box-hi=1,1", "--box-n", "5,5,5"],
+        ["--box-lo=-1,-1,-1", "--box-hi=1,1", "--box-n", "5,5"],
+        ["--box-lo=-1,-1,-1", "--box-hi=1,1,1", "--box-n", "5,5,5"],
+        ["--box-lo=1,-1", "--box-hi=1,1", "--box-n", "5,5"],
+    ], ids=["one-sample", "no-samples", "fractional", "extra-count", "extra-lo",
+            "three-axes", "empty-axis"])
+    def test_box_axis_rule(self, box, tmp_path, capsys):
+        datum, grids = tmp_path / "lw.json", tmp_path / "g.json"
+        datum.write_text(json.dumps(datum_to_json(loomis_whitney_2d())))
+        grid = grid_to_json(GridFunction([-6.0], [6.0], [3], [0.0, 1.0, 0.0]))
+        grids.write_text(json.dumps({"g": [grid, grid]}))
+        assert main(["flow-monotone", str(datum), str(grids), *box]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("counts", [[101.9], ["101"], [101.0]],
+                             ids=["fractional", "string", "float"])
+    def test_grid_counts_must_be_integers(self, counts, pl_file, tmp_path, capsys):
+        xs = np.linspace(-5.0, 5.0, 101)
+        grid = {"lo": [-5.0], "hi": [5.0], "n": counts, "values": np.exp(-xs**2).tolist()}
+        path = tmp_path / "grids.json"
+        path.write_text(json.dumps({"f": [grid, grid], "g": [grid]}))
+        assert main(["flow-verify", pl_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "integer count" in captured.err
+
+    def test_flow_verify_caps_the_input_sum_at_three_axes(self, tmp_path, capsys):
+        datum, grids = tmp_path / "four.json", tmp_path / "g.json"
+        datum.write_text(json.dumps({"in_dims": [1] * 4, "out_dims": [1], "c": [0.25] * 4,
+                                     "d": [1.0], "Q": [[0.25] * 4]}))
+        grid = grid_to_json(GridFunction([-6.0], [6.0], [3], [0.0, 1.0, 0.0]))
+        grids.write_text(json.dumps({"f": [grid] * 4, "g": [grid]}))
+        assert main(["flow-verify", str(datum), str(grids)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: grid scans are limited to input sums of dimension "
+                                "at most 3\n")
+
+    def test_flow_monotone_caps_the_input_sum_at_three_axes(self, tmp_path, capsys):
+        # an explicit 3^4 box: the default one would ask for 101^4 nodes
+        datum, grids = tmp_path / "four.json", tmp_path / "g.json"
+        datum.write_text(json.dumps({"in_dims": [4], "out_dims": [1] * 4, "c": [1.0],
+                                     "d": [1.0] * 4, "Q": np.eye(4).tolist()}))
+        grid = grid_to_json(GridFunction([-6.0], [6.0], [3], [0.0, 1.0, 0.0]))
+        grids.write_text(json.dumps({"g": [grid] * 4}))
+        argv = ["flow-monotone", str(datum), str(grids), "--box-lo=-1,-1,-1,-1",
+                "--box-hi=1,1,1,1", "--box-n", "3,3,3,3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: grid scans are limited to input sums of dimension "
+                                "at most 3\n")
 
     @pytest.mark.parametrize("command", ["check", "sigma"])
     def test_exhausted_budget_is_strict_json(self, pl_file, command, capsys):

@@ -157,6 +157,18 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="singular"):
             EquivalenceTransform((np.zeros((1, 1)),), (np.eye(1),))
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e5])
+    def test_scaled_identity_blocks_are_accepted(self, scale):
+        # |det| is 1e-15 or 1e15, yet the condition number is one
+        t = EquivalenceTransform((scale * np.eye(3),), (np.eye(3) / scale,))
+        np.testing.assert_array_equal(t.c_blocks[0], scale * np.eye(3))
+
+    @pytest.mark.parametrize("block", [[[1.0, 1.0], [1.0, 1.0]], np.diag([1.0, 1e-13])],
+                             ids=["rank-one", "cond-1e13"])
+    def test_ill_conditioned_block_rejected(self, block):
+        with pytest.raises(ValueError, match="singular"):
+            EquivalenceTransform((np.eye(2),), (block,))
+
     def test_wrong_block_dims_rejected(self):
         datum = young_frame()
         t = EquivalenceTransform((np.eye(3),), (np.eye(1),) * 3)

@@ -24,7 +24,7 @@ from frbl.heatflow import (
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
-from _oracles import dense_interpolate, dense_verify_preservation, discrete_mass
+from _oracles import _dense_sides, dense_interpolate, dense_verify_preservation, discrete_mass
 
 I1 = SymMatrix([[1.0]])
 
@@ -398,22 +398,41 @@ class TestMonotoneFunctional:
             assert grids[j].contains(corners @ datum.out_row(j).T).all()
 
     def test_matches_interpolation_reference_bit_for_bit(self):
-        # the product of multilinear interpolant powers, in factor order
         datum = young_frame()
         grids = [bump_1d(width=2.0, center=c, half=15.0, n=301) for c in (1.0, -0.5, 0.3)]
         times = [0.0, 0.25, 1.0]
-        lo, hi, n = default_integration_box(datum, grids, n_per_axis=61)
-        nodes = np.stack([m.ravel() for m in np.meshgrid(
-            *[np.linspace(a, b, c) for a, b, c in zip(lo, hi, n)], indexing="ij")], axis=1)
-        cell = float(np.prod([(b - a) / (c - 1) for a, b, c in zip(lo, hi, n)]))
-        expected = []
-        for t in times:
-            evolved = grids if t == 0.0 else [heat_step(g, t, I1) for g in grids]
-            prod = np.ones(len(nodes))
-            for j, g in enumerate(evolved):
-                prod *= dense_interpolate(g, nodes @ datum.out_row(j).T) ** float(datum.d[j])
-            expected.append((t, cell * float(np.sum(prod))))
-        assert monotone_functional(datum, grids, times, box=(lo, hi, n)) == expected
+        box = default_integration_box(datum, grids, n_per_axis=61)
+        assert monotone_functional(datum, grids, times, box=box) == _dense_monotone(
+            datum, grids, times, box)
+
+    def test_chunked_sum_matches_dense_reference(self, monkeypatch):
+        datum = young_frame()
+        grids = [bump_1d(width=2.0, center=c, half=15.0, n=301) for c in (1.0, -0.5, 0.3)]
+        times = [0.0, 0.25, 1.0]
+        box = default_integration_box(datum, grids, n_per_axis=241)
+        assert math.prod(box[2]) > 1.5 * heatflow.SCAN_CHUNK
+        expected = _dense_monotone(datum, grids, times, box)
+        got = monotone_functional(datum, grids, times, box=box)
+        assert [t for t, _ in got] == times
+        for (_, q), (_, want) in zip(got, expected, strict=True):
+            assert q == pytest.approx(want, rel=1e-13, abs=0.0)
+        monkeypatch.setattr(heatflow, "SCAN_CHUNK", math.prod(box[2]) + 1)
+        assert monotone_functional(datum, grids, times, box=box) == expected
+
+    def test_large_box_memory_is_bounded(self):
+        # a 1001^2 box: the whole-box stencils alone would take over 100 MB
+        datum = young_frame()
+        grids = [bump_1d(width=2.0, center=c, half=15.0, n=601) for c in (1.0, -0.5, 0.3)]
+        box = default_integration_box(datum, grids, n_per_axis=1001)
+        monotone_functional(datum, grids, [0.0, 0.5, 1.0], box=box)
+        tracemalloc.start()
+        try:
+            series = monotone_functional(datum, grids, [0.0, 0.5, 1.0], box=box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 3 and series[-1][1] > series[0][1] > 0.0
+        assert peak <= 16 * 2**20
 
     def test_box_beyond_a_grid_raises(self):
         datum = loomis_whitney_2d()
@@ -427,6 +446,23 @@ class TestMonotoneFunctional:
         plane = GridFunction([-5.0, -5.0], [5.0, 5.0], [11, 11], np.ones((11, 11)))
         with pytest.raises(ValueError, match="grid axis counts"):
             monotone_functional(datum, [plane, gaussian_grid()], [0.0])
+
+
+def _dense_monotone(datum, grids, times, box):
+    """The monotone functional over the whole box at once: the product of
+    multilinear interpolant powers, in factor order, times the cell volume."""
+    lo, hi, n = box
+    nodes = np.stack([m.ravel() for m in np.meshgrid(
+        *[np.linspace(a, b, c) for a, b, c in zip(lo, hi, n)], indexing="ij")], axis=1)
+    cell = float(np.prod([(b - a) / (c - 1) for a, b, c in zip(lo, hi, n)]))
+    expected = []
+    for t in times:
+        evolved = grids if t == 0.0 else [heat_step(g, t, I1) for g in grids]
+        prod = np.ones(len(nodes))
+        for j, g in enumerate(evolved):
+            prod *= dense_interpolate(g, nodes @ datum.out_row(j).T) ** float(datum.d[j])
+        expected.append((t, cell * float(np.sum(prod))))
+    return expected
 
 
 class TestExtractConstant:
@@ -569,3 +605,40 @@ class TestScanChunkSizes:
             tracemalloc.stop()
         assert field.holds and field.nodes_evaluated == 121**3
         assert peak < 16 * 2**20
+
+    def test_two_axis_gaussian_scan_memory_is_bounded(self):
+        # the young frame with f = exp(l - x^T A x) and g_j = exp(m_j - y^2),
+        # A = sum_j d_j u_j u_j^T and l = sum_j d_j m_j: equal sides on 401^2 nodes
+        datum = young_frame()
+        m = np.array([0.1, -0.2, 0.3])
+        a = sum(dj * np.outer(uj, uj) for dj, uj in zip(datum.d, datum.q))
+        axis = np.linspace(-5.0, 5.0, 401)
+        x1, x2 = np.meshgrid(axis, axis, indexing="ij")
+        quad = a[0, 0] * x1**2 + 2.0 * a[0, 1] * x1 * x2 + a[1, 1] * x2**2
+        f_grid = GridFunction([-5.0] * 2, [5.0] * 2, [401] * 2, np.exp(float(datum.d @ m) - quad))
+        ys = np.linspace(-15.0, 15.0, 6001)
+        g_grids = [GridFunction([-15.0], [15.0], [6001], np.exp(mj - ys**2)) for mj in m]
+        times = [0.1, 0.5, 1.0]
+        verify_preservation(datum, [f_grid], g_grids, times)
+        tracemalloc.start()
+        try:
+            field = verify_preservation(datum, [f_grid], g_grids, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.holds and field.nodes_evaluated == 401**2
+        assert peak <= 20 * 2**20
+
+
+def test_sides_at_nodes_match_dense_sides():
+    # the whole-grid entry point that perfbench/item1_figures.py times, on an
+    # input with exterior nodes
+    datum, f_grids, g_grids = _equivalence_cases()["young-narrow"]
+    axes = f_grids[0].axes()
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    for shift in (0.0, 0.25):
+        got = heatflow._sides_at_nodes(datum, f_grids, g_grids, nodes, shift)
+        want = _dense_sides(datum, f_grids, g_grids, nodes, shift)
+        assert not want[2].all()
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
