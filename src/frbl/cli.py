@@ -15,8 +15,7 @@ orjson is the JSON codec both ways.  Inputs are strict RFC 8259 JSON:
 is nesting deeper than :data:`MAX_JSON_DEPTH`.  Reports are strict JSON
 on stdout (CSV for the flow commands), indented by two spaces, with
 non-finite numbers as null and every float in its shortest round-trip
-form (``1e-8``, ``0.00001``), and include the tolerances used.  Set
-``FRBL_LOG`` to a level name (debug, info, ...) for diagnostics on stderr.
+form (``1e-8``, ``0.00001``), and include the tolerances used.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import logging
 import math
 import os
 import re
@@ -40,7 +38,7 @@ from . import datum as dm
 from . import gaussian as gc
 from . import heatflow as hf
 from .datum import datum_to_json, transform_to_json
-from .geometry import check_geometric, find_sigma
+from .geometry import DEFAULT_FEASIBILITY_TOL, DEFAULT_MAX_ITER, check_geometric, find_sigma
 from .instances import INSTANCE_NAMES, generate
 
 EXIT_OK = 0
@@ -49,15 +47,6 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     """Any problem with user-supplied files or parameters (exit code 2)."""
-
-
-def _configure_logging() -> None:
-    level_name = os.environ.get("FRBL_LOG", "").strip().upper()
-    if level_name:
-        level = getattr(logging, level_name, None)
-        if isinstance(level, int):
-            logging.basicConfig(level=level, stream=sys.stderr,
-                                format="%(name)s %(levelname)s %(message)s")
 
 
 @contextlib.contextmanager
@@ -312,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
                              ("sigma", "run only the feasibility search for sigma", _cmd_sigma)):
         p = sub.add_parser(name, help=what)
         p.add_argument("datum")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=50_000)
+        p.add_argument("--tol", type=float, default=DEFAULT_FEASIBILITY_TOL)
+        p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
         p.add_argument("--out", default=None)
         p.set_defaults(func=func)
 
@@ -322,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tuple")
     p.add_argument("--op", choices=("relation", "ratio", "extremizer", "geometrize"),
                    required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=gc.DEFAULT_RELATION_TOL)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled comparison family (non-geometric extremizer runs)")
     p.add_argument("--samples", type=int, default=64,
@@ -334,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("datum")
     p.add_argument("grids", help='JSON file {"f": [grid...], "g": [grid...]}')
     p.add_argument("--times", default="0.1,0.5,1")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=hf.DEFAULT_DEFECT_TOL)
     p.add_argument("--shift", type=float, default=0.0,
                    help="constant added to the g side before exponentiation")
     p.add_argument("--out", default=None, help="defect CSV (stdout by default)")
@@ -364,7 +353,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = _parser().parse_args(argv)
     try:
         _check_options(args)

@@ -58,6 +58,15 @@ class DatumValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """A JSON value as a numpy array of integers or floats; strings,
+    booleans and nulls in it raise ``ValueError``."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold numbers only")
+    return arr
+
+
 def _as_dim_tuple(dims, label: str, violations: list[str]) -> tuple[int, ...]:
     out = []
     for x in dims:
@@ -65,7 +74,7 @@ def _as_dim_tuple(dims, label: str, violations: list[str]) -> tuple[int, ...]:
             xi = int(x)
         except (TypeError, ValueError, OverflowError):
             xi = None
-        if xi is None or xi != x or xi < 1:
+        if xi is None or xi != x or xi < 1 or isinstance(x, bool):
             violations.append(f"{label} must be positive integers, got {x!r}")
             return ()
         out.append(xi)
@@ -217,13 +226,15 @@ def validate_datum(raw: dict) -> FrblDatum:
     """Validate a JSON-shaped candidate and return the datum.
 
     Raises :class:`DatumValidationError` listing every violated condition,
-    including missing keys.
+    including missing keys; a ``c``, ``d`` or ``Q`` that holds anything but
+    numbers raises ``ValueError`` before the other checks.
     """
     required = ("in_dims", "out_dims", "c", "d", "Q")
     missing = [key for key in required if key not in raw]
     if missing:
         raise DatumValidationError([f"missing key {key!r}" for key in missing])
-    return make_datum(raw["in_dims"], raw["out_dims"], raw["c"], raw["d"], raw["Q"])
+    c, d, q = (_numbers(raw[key], key) for key in ("c", "d", "Q"))
+    return make_datum(raw["in_dims"], raw["out_dims"], c, d, q)
 
 
 def datum_to_json(datum: FrblDatum) -> dict:
@@ -275,7 +286,8 @@ class EquivalenceTransform:
                     raise ValueError(f"{label}: blocks must be square, got shape {b.shape}")
                 if not np.all(np.isfinite(b)):
                     raise ValueError(f"{label}: block entries must be finite")
-                if not np.linalg.cond(b) < COND_MAX:
+                s = np.linalg.svd(b, compute_uv=False)
+                if not s[-1] * COND_MAX > s[0]:
                     raise ValueError(f"{label}: block is singular (cond >= {COND_MAX:g})")
                 b.setflags(write=False)
             object.__setattr__(self, name, blocks)

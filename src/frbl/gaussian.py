@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .datum import EquivalenceTransform, FrblDatum, apply_equivalence, embed_blockdiag
+from .datum import EquivalenceTransform, FrblDatum, _numbers, apply_equivalence, embed_blockdiag
 from .geometry import GeometricCertificate, _form_gap, _pullback, check_geometric
 from .linalg import SymMatrix, _eig_map, _heat_weight, _require_pd, mirror_upper
 
@@ -64,11 +64,6 @@ class CenteredGaussian:
         object.__setattr__(self, "log_prefactor", float(self.log_prefactor))
         if not math.isfinite(self.log_prefactor):
             raise ValueError("log_prefactor must be finite")
-
-    @classmethod
-    def standard(cls, dim: int) -> "CenteredGaussian":
-        """The unit-form Gaussian ``exp(-|x|^2)``."""
-        return cls(SymMatrix.identity(dim))
 
     @property
     def space_dim(self) -> int:
@@ -167,13 +162,6 @@ class GaussianFamily:
     f_prefs: np.ndarray
     g_prefs: np.ndarray
 
-    @classmethod
-    def of(cls, tuples) -> "GaussianFamily":
-        """Stack GaussianTuples of one layout."""
-        f_forms, g_forms, f_prefs, g_prefs = zip(*map(_unstacked, tuples))
-        return cls(tuple(map(np.array, zip(*f_forms))), tuple(map(np.array, zip(*g_forms))),
-                   np.array(f_prefs), np.array(g_prefs))
-
     def __len__(self) -> int:
         return self.f_prefs.shape[0]
 
@@ -208,7 +196,8 @@ def tuple_to_json(tup: GaussianTuple) -> dict:
 
 def tuple_from_json(obj: dict) -> GaussianTuple:
     def dec(entry: dict) -> CenteredGaussian:
-        return CenteredGaussian(SymMatrix(entry["form"]), float(entry.get("log_prefactor", 0.0)))
+        return CenteredGaussian(SymMatrix(_numbers(entry["form"], "a tuple form")),
+                                float(_numbers(entry.get("log_prefactor", 0.0), "a log prefactor")))
 
     try:
         return GaussianTuple(tuple(dec(e) for e in obj["f"]), tuple(dec(e) for e in obj["g"]))
@@ -320,9 +309,9 @@ def extremizer_check(
     No global-optimality claim is made in the comparison case.
 
     ``comparison`` is an iterable of stacked :class:`GaussianFamily` blocks,
-    such as :func:`sample_families` yields (:meth:`GaussianFamily.of` stacks
-    loose tuples); each block is judged in one batched pass, and only on data
-    that are not geometric, so a generator draws nothing on geometric data.
+    such as :func:`sample_families` yields; each block is judged in one
+    batched pass, and only on data that are not geometric, so a generator
+    draws nothing on geometric data.
     """
     rel = relation_check(datum, tup, tol)
     if not rel.holds:

@@ -20,7 +20,6 @@ the adjoint contraction bound and the trace-domination implication.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -43,8 +42,6 @@ __all__ = [
     "verify_adjoint_contraction",
     "verify_trace_implication",
 ]
-
-log = logging.getLogger("frbl.geometry")
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
 DEFAULT_MAX_ITER = 50_000
@@ -199,7 +196,6 @@ def find_sigma(
     datum: FrblDatum,
     tol: float = DEFAULT_FEASIBILITY_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    debug: bool = False,
 ) -> SigmaSearchResult:
     """Search for a PSD ``sigma`` with identity diagonal blocks such that
     ``Q sigma Q^T`` also has identity diagonal blocks.
@@ -233,22 +229,16 @@ def find_sigma(
     ``<X_aff, Y> < 0``.  The test fires when the cone and the subspace lie
     at positive distance; weakly infeasible data (distance zero, no common
     point) still end in ``max-iter`` with the final residuals.
-
-    With ``debug=True`` the distance of the cone iterate to the affine
-    subspace is asserted non-increasing (up to rounding slack) across
-    iterations.
     """
     eye = np.eye(datum.layout.dim_in)
     r_in, r_out = marginal_residuals(datum, eye)
     if r_in <= tol and r_out <= tol:
-        log.debug("identity start meets tol, no projection needed")
         return SigmaSearchResult("found", SymMatrix(eye), 1.0, r_in, r_out, 0)
     cons = _SigmaConstraints(datum)
     if cons.lstsq_residual > tol * (1.0 + cons.rhs_norm):
         x_ls = cons.smat(cons.x_ls)
         r_in, r_out = marginal_residuals(datum, x_ls)
         min_eig = float(np.linalg.eigvalsh(x_ls)[0])
-        log.debug("affine subspace infeasible, lstsq residual %.3e", cons.lstsq_residual)
         return SigmaSearchResult(
             "affine-infeasible", None, min_eig, r_in, r_out, 0, reason="affine-infeasible"
         )
@@ -259,26 +249,18 @@ def find_sigma(
     reach = n + float(np.linalg.norm(x_aff))
     xv = cons.svec(eye)
     correction = np.zeros_like(xv)
-    prev_dist = np.inf
     min_eig = -np.inf
     for iteration in range(1, max_iter + 1):
         shifted = xv + correction
         cone = cons.svec(_eig_map(cons.smat(shifted), _clip_negative))
         correction = shifted - cone
         gap = proj @ cone - x_aff
-        if debug:
-            dist = float(np.linalg.norm(gap))
-            assert dist <= prev_dist + 1e-12 * (1.0 + prev_dist), (
-                f"distance to affine subspace increased: {prev_dist} -> {dist}"
-            )
-            prev_dist = dist
         xv = cone - gap
         x = cons.smat(xv)
         min_eig = float(np.linalg.eigvalsh(x)[0])
         if min_eig >= -tol:
             r_in, r_out = marginal_residuals(datum, x)
             if r_in <= tol and r_out <= tol:
-                log.debug("sigma found after %d iterations", iteration)
                 return SigmaSearchResult("found", SymMatrix(x), min_eig, r_in, r_out,
                                          iteration)
         offset = float(x_aff @ gap)
@@ -287,7 +269,6 @@ def find_sigma(
             bound = float(np.linalg.eigvalsh(y)[0]) * n
             # the rounding part of Y outside range(A^T) matters only near the bound
             if offset < bound and offset + np.linalg.norm(gap - proj @ gap) * reach < bound:
-                log.debug("separator found after %d iterations", iteration)
                 r_in, r_out = marginal_residuals(datum, x)
                 return SigmaSearchResult("infeasible", None, min_eig, r_in, r_out, iteration,
                                          reason="separator", separator=SymMatrix(y))

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .datum import FrblDatum
+from .datum import FrblDatum, _numbers
 from .linalg import _heat_weight
 
 __all__ = [
@@ -47,6 +47,10 @@ _BOUND_EPS = 1e-9
 # Nodes per chunk of the grid walk; it bounds the working memory of the
 # defect scan and of the monotone functional whatever the node count.
 SCAN_CHUNK = 1 << 15
+
+# Most samples on one axis of a monotone-functional box: the walk never
+# splits a row of the last axis, so this caps the nodes of a chunk.
+MAX_BOX_AXIS = 1 << 15
 
 
 def _check_axes(lo, hi, n) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
@@ -97,12 +101,6 @@ class GridFunction:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def sample(cls, fn, lo, hi, n) -> "GridFunction":
-        """Sample ``fn`` (vectorized over an ``(N, dim)`` point array) on the grid."""
-        lo, hi, n = _check_axes(np.atleast_1d(lo), np.atleast_1d(hi), np.atleast_1d(n))
-        return cls(lo, hi, n, np.asarray(fn(_mesh(_axes(lo, hi, n))), dtype=float).reshape(n))
 
     @property
     def dim(self) -> int:
@@ -174,8 +172,9 @@ def grid_to_json(grid: GridFunction) -> dict:
 
 def grid_from_json(obj: dict) -> GridFunction:
     try:
-        lo, hi, n = _check_axes(obj["lo"], obj["hi"], obj["n"])
-        return GridFunction(lo, hi, n, np.asarray(obj["values"], dtype=float).reshape(n))
+        lo, hi = (_numbers(obj[key], f"grid {key}") for key in ("lo", "hi"))
+        lo, hi, n = _check_axes(lo, hi, obj["n"])
+        return GridFunction(lo, hi, n, _numbers(obj["values"], "grid values").reshape(n))
     except KeyError as exc:
         raise ValueError(f"grid JSON missing key {exc}") from exc
     except OverflowError as exc:
@@ -481,8 +480,8 @@ def verify_preservation(
     )
 
 
-def default_integration_box(datum: FrblDatum, g_grids, n_per_axis: int = 101):
-    """A box over the input sum whose projections stay inside every g grid."""
+def default_integration_box(datum: FrblDatum, g_grids):
+    """A 101-per-axis box over the input sum whose projections stay inside every g grid."""
     dim0 = datum.layout.dim_in
     half = math.inf
     for j, gg in enumerate(g_grids):
@@ -498,7 +497,7 @@ def default_integration_box(datum: FrblDatum, g_grids, n_per_axis: int = 101):
     return (
         tuple(-half for _ in range(dim0)),
         tuple(half for _ in range(dim0)),
-        tuple(int(n_per_axis) for _ in range(dim0)),
+        (101,) * dim0,
     )
 
 
@@ -524,6 +523,8 @@ def monotone_functional(
     lo, hi, n = _check_axes(*(default_integration_box(datum, g_grids) if box is None else box))
     if len(n) != layout.dim_in:
         raise ValueError(f"the box has {len(n)} axes; the input sum has {layout.dim_in}")
+    if max(n) > MAX_BOX_AXIS:
+        raise ValueError(f"a box axis takes at most {MAX_BOX_AXIS} samples, got {max(n)}")
     times = [float(t) for t in times]
     evolved = [g_grids if t == 0.0 else [heat_step(gg, t) for gg in g_grids] for t in times]
     sums = [0.0] * len(times)

@@ -8,13 +8,19 @@ the whole node set at once (it shares only the heat step with the
 library), and the sigma constraints built entry by entry, which re-check
 a separator from the datum alone, and the Gaussian tuple sampler,
 relation check and ratio one tuple and one factor at a time, the
-reference for the stacked families.
+reference for the stacked families.  Three builders of test inputs come
+last: a grid sampled from a function, the unit-form Gaussian and a family
+stacked from loose tuples.
 """
 
 import math
 from functools import reduce
 
 import numpy as np
+
+from frbl.gaussian import CenteredGaussian, GaussianFamily
+from frbl.heatflow import GridFunction
+from frbl.linalg import SymMatrix
 
 
 def eig2x2(m) -> tuple[float, float]:
@@ -287,3 +293,28 @@ def log_ratio(datum, f, g) -> float:
     num = sum(ci * log_integral(*fi) for ci, fi in zip(datum.c, f))
     den = sum(dj * log_integral(*gj) for dj, gj in zip(datum.d, g))
     return float(num - den)
+
+
+def sample_grid(fn, lo, hi, n) -> GridFunction:
+    """``fn``, vectorized over an ``(N, dim)`` point array, sampled on the
+    grid of per-axis bounds ``lo``, ``hi`` and counts ``n``."""
+    axes = [np.linspace(a, b, cnt) for a, b, cnt in zip(lo, hi, n)]
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return GridFunction(lo, hi, n, np.asarray(fn(nodes), dtype=float).reshape(n))
+
+
+def standard_gaussian(dim: int) -> CenteredGaussian:
+    """The unit-form Gaussian ``exp(-|x|^2)``."""
+    return CenteredGaussian(SymMatrix(np.eye(dim)))
+
+
+def stack_family(tuples) -> GaussianFamily:
+    """Gaussian tuples of one layout stacked into one family."""
+    def forms(side):
+        return tuple(np.array([x.form.mat for x in factor])
+                     for factor in zip(*(getattr(t, side) for t in tuples)))
+
+    def prefs(side):
+        return np.array([[x.log_prefactor for x in getattr(t, side)] for t in tuples])
+
+    return GaussianFamily(forms("f"), forms("g"), prefs("f"), prefs("g"))

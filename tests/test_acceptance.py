@@ -39,7 +39,8 @@ from frbl.heatflow import (
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
-from _oracles import dense_interpolate, heat_quadrature_1d, heat_quadrature_2d, random_psd
+from _oracles import (dense_interpolate, heat_quadrature_1d, heat_quadrature_2d, random_psd,
+                      standard_gaussian)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -62,8 +63,8 @@ def geometric_instances():
 
 def standard_tuple(datum):
     return GaussianTuple(
-        tuple(CenteredGaussian.standard(d) for d in datum.layout.in_dims),
-        tuple(CenteredGaussian.standard(d) for d in datum.layout.out_dims),
+        tuple(standard_gaussian(d) for d in datum.layout.in_dims),
+        tuple(standard_gaussian(d) for d in datum.layout.out_dims),
     )
 
 
@@ -202,7 +203,7 @@ def test_06_closed_form_vs_quadrature():
 
 
 def test_07_long_time_rescaling():
-    g = CenteredGaussian.standard(1)
+    g = standard_gaussian(1)
     w = SymMatrix([[1.0]])
     ok = True
     worst = 0.0
@@ -213,7 +214,7 @@ def test_07_long_time_rescaling():
         worst = max(worst, err)
         ok &= err <= 1e-3
     # anisotropic weight exercises the determinant normalisation
-    g2 = CenteredGaussian.standard(2)
+    g2 = standard_gaussian(2)
     w2 = SymMatrix(np.diag([1.0, 4.0]))
     limit = long_time_limit(g2, w2, [0.0, 0.0])
     finite = rescaled_heat_value(g2, w2, [0.0, 0.0], 1e4)

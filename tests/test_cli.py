@@ -15,8 +15,8 @@ import frbl
 from frbl import cli
 from frbl.cli import main
 from frbl.datum import datum_to_json, validate_datum
-from frbl.heatflow import GridFunction, grid_to_json
-from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
+from frbl.heatflow import MAX_BOX_AXIS, GridFunction, grid_to_json
+from frbl.instances import holder, loomis_whitney_2d, prekopa_leindler, young_frame
 
 from _oracles import (admissible_tuple, dense_interpolate, log_ratio, relation_gaps,
                       separator_verifies)
@@ -459,11 +459,6 @@ class TestFlow:
         assert main(base + ["--assert-monotone=-1.0"]) == 1
         capsys.readouterr()
 
-    def test_log_env_var_accepted(self, pl_file, capsys, monkeypatch):
-        monkeypatch.setenv("FRBL_LOG", "debug")
-        assert main(["check", pl_file]) == 0
-        capsys.readouterr()
-
     def test_monotone_grid_axes_mismatch_exit_two(self, tmp_path, capsys):
         datum, grids = tmp_path / "lw.json", tmp_path / "g.json"
         datum.write_text(json.dumps(datum_to_json(loomis_whitney_2d())))
@@ -686,6 +681,61 @@ class TestContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "integer count" in captured.err
+
+    @pytest.mark.parametrize("case", ["datum c", "datum in_dims", "grid lo", "tuple form",
+                                      "tuple log_prefactor"])
+    def test_json_numbers_must_be_numbers(self, case, pl_file, tmp_path, capsys):
+        # strings and booleans that float() or int() would read as numbers
+        which, key = case.split()
+        path = tmp_path / "input.json"
+        xs = np.linspace(-10.0, 10.0, 101)
+        grid = {"lo": [-10.0], "hi": [10.0], "n": [101], "values": np.exp(-xs**2).tolist()}
+        gaussian = {"log_prefactor": 0.0, "form": [[1.0]]}
+        if which == "datum":
+            value = {"c": ["0.5", "0.5"], "in_dims": [True, True]}[key]
+            obj, argv = {**datum_to_json(prekopa_leindler(0.5)), key: value}, ["check", str(path)]
+        elif which == "grid":
+            obj = {"f": [{**grid, "lo": ["-10"], "hi": ["1e1"]}, grid], "g": [grid]}
+            argv = ["flow-verify", pl_file, str(path)]
+        else:
+            value = {"form": [["1.0"]], "log_prefactor": "0.5"}[key]
+            obj = {"f": [{**gaussian, key: value}, gaussian], "g": [gaussian]}
+            argv = ["gaussian", pl_file, str(path), "--op", "ratio"]
+        path.write_text(json.dumps(obj))
+        assert main(argv) == 2
+        _assert_one_error_line(capsys.readouterr())
+
+    @pytest.mark.parametrize("count", [100_000_000, MAX_BOX_AXIS + 1, MAX_BOX_AXIS])
+    def test_box_axis_count_is_capped(self, count, tmp_path, capsys):
+        # a box row is one chunk of the walk: 10^8 samples would be a 763-MB node array
+        datum, grids = tmp_path / "holder.json", tmp_path / "g.json"
+        datum.write_text(json.dumps(datum_to_json(holder([0.5, 0.5]))))
+        grid = grid_to_json(GridFunction([-6.0], [6.0], [3], [0.0, 1.0, 0.0]))
+        grids.write_text(json.dumps({"g": [grid, grid]}))
+        argv = ["flow-monotone", str(datum), str(grids), "--box-lo=-1", "--box-hi=1",
+                "--box-n", str(count)]
+        if count <= MAX_BOX_AXIS:
+            assert main(argv) == 0
+            capsys.readouterr()
+        else:
+            assert main(argv) == 2
+            _assert_one_error_line(capsys.readouterr())
+
+    @pytest.mark.parametrize("command", ["flow-verify", "flow-monotone", "gen"])
+    def test_unusable_arguments_are_input_errors(self, command, pl_file, tmp_path, capsys):
+        line = tmp_path / "line.json"
+        line.write_text(json.dumps(datum_to_json(holder([1.0]))))
+        argv, message = {
+            "flow-verify": ([pl_file, grids_file(tmp_path), "--times=-1"],
+                            "times must be nonnegative"),
+            "flow-monotone": ([str(line), grids_file(tmp_path), "--box-lo=-1"],
+                              "must be given together"),
+            "gen": (["custom"], "custom needs a path"),
+        }[command]
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert message in captured.err
 
     def test_flow_verify_caps_the_input_sum_at_three_axes(self, tmp_path, capsys):
         datum, grids = tmp_path / "four.json", tmp_path / "g.json"

@@ -38,13 +38,15 @@ from _oracles import (
     log_ratio,
     random_psd,
     relation_gaps,
+    stack_family,
+    standard_gaussian,
 )
 
 
 def standard_tuple(datum):
     return GaussianTuple(
-        tuple(CenteredGaussian.standard(d) for d in datum.layout.in_dims),
-        tuple(CenteredGaussian.standard(d) for d in datum.layout.out_dims),
+        tuple(standard_gaussian(d) for d in datum.layout.in_dims),
+        tuple(standard_gaussian(d) for d in datum.layout.out_dims),
     )
 
 
@@ -80,11 +82,11 @@ class TestIntegral:
         assert math.exp(log_gaussian_integral(g)) == pytest.approx(1.0, abs=1e-15)
 
     def test_standard_1d(self):
-        g = CenteredGaussian.standard(1)
+        g = standard_gaussian(1)
         assert math.exp(log_gaussian_integral(g)) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
 
     def test_standard_2d(self):
-        g = CenteredGaussian.standard(2)
+        g = standard_gaussian(2)
         assert math.exp(log_gaussian_integral(g)) == pytest.approx(math.pi, rel=1e-15)
 
     def test_prefactor_scales(self):
@@ -94,7 +96,7 @@ class TestIntegral:
 
 class TestHeatEvolve:
     def test_unit_case_closed_form(self):
-        g = CenteredGaussian.standard(1)
+        g = standard_gaussian(1)
         ev = heat_evolve(g, 0.25, SymMatrix([[1.0]]))
         assert ev.form.mat[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert ev.log_prefactor == pytest.approx(-0.5 * math.log(2.0), abs=1e-15)
@@ -205,7 +207,7 @@ class TestHeatEvolve:
         assert abs(log_gaussian_integral(one_step) - log_gaussian_integral(g)) <= 1e-12
 
     def test_invalid_inputs(self):
-        g = CenteredGaussian.standard(1)
+        g = standard_gaussian(1)
         with pytest.raises(ValueError, match="positive"):
             heat_evolve(g, 0.0)
         with pytest.raises(ValueError, match="positive definite"):
@@ -244,7 +246,7 @@ class TestRelationCheck:
 
     def test_layout_mismatch(self):
         datum = prekopa_leindler(0.5)
-        bad = GaussianTuple((CenteredGaussian.standard(2),), (CenteredGaussian.standard(1),))
+        bad = GaussianTuple((standard_gaussian(2),), (standard_gaussian(1),))
         with pytest.raises(ValueError):
             relation_check(datum, bad)
 
@@ -333,13 +335,13 @@ class TestExtremizer:
         family = tuple(tup(1.0, b) for b in (1 / 16, 1 / 8, 3 / 16, 1 / 4))
         best = tup(4.0, 1.0)
         assert relation_check(datum, best).holds
-        verdict = extremizer_check(datum, best, comparison=[GaussianFamily.of(family)])
+        verdict = extremizer_check(datum, best, comparison=[stack_family(family)])
         assert verdict.basis == "comparison-family"
         assert verdict.ratio == pytest.approx(0.5, rel=1e-12)
         assert verdict.is_extremizer
 
         worse = tup(1.0, 1 / 8)
-        verdict = extremizer_check(datum, worse, comparison=[GaussianFamily.of(family + (best,))])
+        verdict = extremizer_check(datum, worse, comparison=[stack_family(family + (best,))])
         assert not verdict.is_extremizer
 
     def test_non_geometric_needs_comparison(self):
@@ -387,20 +389,20 @@ class TestGeometrize:
 
 class TestLongTime:
     def test_unit_weight_limit(self):
-        g = CenteredGaussian.standard(1)
+        g = standard_gaussian(1)
         w = SymMatrix([[1.0]])
         assert long_time_limit(g, w, [0.0]) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
         fin = rescaled_heat_value(g, w, [0.0], 1e4)
         assert fin == pytest.approx(math.sqrt(math.pi), abs=1e-3)
 
     def test_decay_along_rays(self):
-        g = CenteredGaussian.standard(1)
+        g = standard_gaussian(1)
         w = SymMatrix([[1.0]])
         vals = [long_time_limit(g, w, [x]) for x in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_anisotropic_weight(self):
-        g = CenteredGaussian.standard(2)
+        g = standard_gaussian(2)
         w = SymMatrix(np.diag([1.0, 4.0]))
         assert long_time_limit(g, w, [0.0, 0.0]) == pytest.approx(math.pi / 2, rel=1e-14)
 
@@ -571,8 +573,8 @@ class TestStackedFamily:
     def test_family_and_tuples_give_one_verdict(self):
         tuples = [random_admissible_tuple(CONTROL, np.random.default_rng(s)) for s in range(12)]
         candidate = tuples[0]
-        want = extremizer_check(CONTROL, candidate, comparison=[GaussianFamily.of(tuples)])
-        halves = [GaussianFamily.of(tuples[:5]), GaussianFamily.of(tuples[5:])]
+        want = extremizer_check(CONTROL, candidate, comparison=[stack_family(tuples)])
+        halves = [stack_family(tuples[:5]), stack_family(tuples[5:])]
         assert extremizer_check(CONTROL, candidate, comparison=halves) == want
 
     def test_members_violating_the_relation_are_skipped(self):
@@ -581,20 +583,20 @@ class TestStackedFamily:
         best = _one_dim_tuple(4.0, 1.0)
         violating = _one_dim_tuple(1.0, 1.0)
         assert not relation_check(CONTROL, violating).holds
-        family = GaussianFamily.of([_one_dim_tuple(1.0, 1 / 8), violating])
+        family = stack_family([_one_dim_tuple(1.0, 1 / 8), violating])
         verdict = extremizer_check(CONTROL, best, comparison=[family])
         assert verdict.is_extremizer
         assert verdict.reference_log_ratio == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_indefinite_member_is_rejected(self):
-        fam = GaussianFamily.of([_one_dim_tuple(4.0, 1.0)] * 2)
+        fam = stack_family([_one_dim_tuple(4.0, 1.0)] * 2)
         bad = GaussianFamily((fam.f_forms[0], -fam.f_forms[1]), fam.g_forms,
                              fam.f_prefs, fam.g_prefs)
         with pytest.raises(ValueError, match="positive definite"):
             extremizer_check(CONTROL, _one_dim_tuple(4.0, 1.0), comparison=[bad])
 
     def test_family_layout_is_checked(self):
-        fam = GaussianFamily.of([standard_tuple(young_frame())])
+        fam = stack_family([standard_tuple(young_frame())])
         with pytest.raises(ValueError, match="layout"):
             extremizer_check(CONTROL, _one_dim_tuple(4.0, 1.0), comparison=[fam])
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from frbl import geometry
 from frbl.datum import EquivalenceTransform, apply_equivalence, embed_blockdiag, make_datum
-from frbl.gaussian import CenteredGaussian, GaussianTuple, relation_check
+from frbl.gaussian import GaussianTuple, relation_check
 from frbl.geometry import (
     _form_gap,
     _SigmaConstraints,
@@ -22,7 +22,7 @@ from frbl.geometry import (
 from frbl.instances import holder, loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
-from _oracles import eig2x2, random_psd, separator_verifies, sigma_constraints
+from _oracles import eig2x2, random_psd, separator_verifies, sigma_constraints, standard_gaussian
 
 
 def negative_control():
@@ -170,8 +170,8 @@ class TestFormGap:
         # on both controls
         for datum in feasible_data() + [negative_control(), hard_case()]:
             standard = GaussianTuple(
-                tuple(CenteredGaussian.standard(n) for n in datum.layout.in_dims),
-                tuple(CenteredGaussian.standard(n) for n in datum.layout.out_dims))
+                tuple(standard_gaussian(n) for n in datum.layout.in_dims),
+                tuple(standard_gaussian(n) for n in datum.layout.out_dims))
             want = relation_check(datum, standard).form_gap_min_eig
             assert struct.pack("d", check_loewner(datum)[1]) == struct.pack("d", want)
 
@@ -270,10 +270,27 @@ class TestFindSigma:
         assert cert.sigma is None
         assert separator_verifies(datum, cert.separator.mat)
 
-    def test_debug_distance_monotonicity(self):
-        for datum in (prekopa_leindler(0.4), young_frame(), loomis_whitney_2d()):
-            res = find_sigma(datum, debug=True)
-            assert res.status == "found"
+    def test_cone_iterates_never_move_away_from_the_subspace(self, monkeypatch):
+        # Dykstra's invariant on the slow datum: the distance from each cone
+        # iterate to the affine subspace never grows.  It is measured on the
+        # oracle's constraints by least squares, not with the projector.
+        datum = slow_case()
+        a, b, pairs = sigma_constraints(datum)
+        upper = tuple(np.array(pairs).T)
+        scale = np.where(upper[0] == upper[1], 1.0, math.sqrt(2.0))
+        cones, real = [], geometry._eig_map
+
+        def spy(m, fn):
+            cones.append(real(m, fn))
+            return cones[-1]
+
+        monkeypatch.setattr(geometry, "_eig_map", spy)
+        res = find_sigma(datum)
+        assert res.status == "found" and len(cones) == res.iterations
+        dists = [float(np.linalg.norm(np.linalg.lstsq(a, a @ (c[upper] * scale) - b,
+                                                      rcond=None)[0])) for c in cones]
+        for before, after in zip(dists, dists[1:]):
+            assert after <= before + 1e-12 * (1.0 + before)
 
     def test_matrix_valued_output_blocks(self):
         # R^3 split into a plane and a line: a 2x2 output block in the
@@ -318,7 +335,7 @@ class TestFindSigma:
     def test_slow_convergence_case(self, constraint_builds):
         # frozen random datum whose feasible point is far from the identity
         # start; the search needs a few hundred alternating projections
-        res = find_sigma(slow_case(), debug=True)
+        res = find_sigma(slow_case())
         assert res.status == "found"
         assert len(constraint_builds) == 1
         assert res.iterations > 100

@@ -24,15 +24,14 @@ from frbl.heatflow import (
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
-from _oracles import _dense_sides, dense_interpolate, dense_verify_preservation, discrete_mass
+from _oracles import (_dense_sides, dense_interpolate, dense_verify_preservation, discrete_mass,
+                      sample_grid, standard_gaussian)
 
 I1 = SymMatrix([[1.0]])
 
 
 def gaussian_grid(half=6.0, n=201, form=1.0):
-    return GridFunction.sample(
-        lambda p: np.exp(-form * p[:, 0] ** 2), [-half], [half], [n]
-    )
+    return sample_grid(lambda p: np.exp(-form * p[:, 0] ** 2), [-half], [half], [n])
 
 
 def bump_1d(width=3.0, center=0.0, half=12.0, n=201):
@@ -40,7 +39,7 @@ def bump_1d(width=3.0, center=0.0, half=12.0, n=201):
         u = (p[:, 0] - center) / width
         return np.clip(1.0 - u * u, 0.0, None) ** 2
 
-    return GridFunction.sample(fn, [-half], [half], [n])
+    return sample_grid(fn, [-half], [half], [n])
 
 
 def young_bump_inputs(shrink=0.95, half=4.0, n=161):
@@ -87,7 +86,7 @@ class TestGridFunction:
             g.interpolate([[1.5]])
 
     def test_json_roundtrip(self):
-        g = GridFunction.sample(
+        g = sample_grid(
             lambda p: np.exp(-p[:, 0] ** 2 - p[:, 1] ** 2), [-1, -1], [1, 1], [4, 5]
         )
         back = grid_from_json(grid_to_json(g))
@@ -104,7 +103,7 @@ class TestHeatStep:
             heat_step(g, 0.1, SymMatrix([[1e-13]]))
 
     def test_preserves_constant_one(self):
-        ones = GridFunction.sample(lambda p: np.ones(len(p)), [-10], [10], [401])
+        ones = sample_grid(lambda p: np.ones(len(p)), [-10], [10], [401])
         ev = heat_step(ones, 0.5, I1)
         x = ones.axes()[0]
         r_cut = 8.0 * math.sqrt(2.0 * 0.5)
@@ -125,7 +124,7 @@ class TestHeatStep:
     def test_matches_gaussian_closed_form(self, t):
         g = gaussian_grid(half=8.0, n=321)
         ev = heat_step(g, t, I1)
-        cg = heat_evolve(CenteredGaussian.standard(1), t)
+        cg = heat_evolve(standard_gaussian(1), t)
         x = g.axes()[0]
         closed = np.exp(cg.log_prefactor - cg.form.mat[0, 0] * x**2)
         mask = closed >= 1e-6 * closed.max()
@@ -136,7 +135,7 @@ class TestHeatStep:
     def test_matches_closed_form_2d_anisotropic(self, t):
         weight = SymMatrix([[1.2, 0.3], [0.3, 0.8]])
         form = SymMatrix([[0.9, -0.2], [-0.2, 1.4]])
-        grid = GridFunction.sample(
+        grid = sample_grid(
             lambda p: np.exp(-np.einsum("ni,ij,nj->n", p, form.mat, p)),
             [-9, -9], [9, 9], [181, 181],
         )
@@ -177,7 +176,7 @@ class TestHeatStep:
             lo.append(-half)
             hi.append(half)
             n.append(math.ceil(2.0 * half / h) + 1)
-        f = GridFunction.sample(
+        f = sample_grid(
             lambda p: np.exp(-np.sum(((p - centres) / widths) ** 2, axis=1)), lo, hi, n)
         assert discrete_mass(heat_step(f, t)) == pytest.approx(discrete_mass(f), rel=1e-13)
 
@@ -202,8 +201,8 @@ class TestHeatStep:
     def test_per_axis_matches_full_kernel(self, t, diag):
         # a diagonal weight convolves axis by axis; the full 2-D kernel of
         # the same weight and truncation must give the same samples
-        grid = GridFunction.sample(lambda p: np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2),
-                                   [-6, -6], [6, 6], [201, 201])
+        grid = sample_grid(lambda p: np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2),
+                           [-6, -6], [6, 6], [201, 201])
         # the kernel is normalised over the truncation radius, then cut to the grid
         h = grid.spacing
         reach = [math.ceil(8 * math.sqrt(2 * t * max(diag)) / hx) for hx in h]
@@ -241,8 +240,8 @@ class TestHeatStep:
     @pytest.mark.parametrize("n", [(401, 401), (33601,)])
     def test_identity_weight_is_per_axis_fftconvolve(self, t, n):
         half = [4.0] * len(n)
-        grid = GridFunction.sample(lambda p: np.exp(-np.sum(p**2, axis=1)),
-                                   [-x for x in half], half, n)
+        grid = sample_grid(lambda p: np.exp(-np.sum(p**2, axis=1)),
+                           [-x for x in half], half, n)
         want = grid.values
         for ax, (hx, cnt) in enumerate(zip(grid.spacing, grid.n)):
             reach = math.ceil(8 * math.sqrt(2 * t) / hx)
@@ -258,8 +257,8 @@ class TestHeatStep:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_non_diagonal_weight_is_full_fftconvolve(self, t):
         w = np.array([[1.0, 0.3], [0.3, 0.8]])
-        grid = GridFunction.sample(lambda p: np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2),
-                                   [-6, -6], [6, 6], [201, 161])
+        grid = sample_grid(lambda p: np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2),
+                           [-6, -6], [6, 6], [201, 161])
         h = grid.spacing
         r_cut = 8 * math.sqrt(2 * t * np.linalg.eigvalsh(w)[-1])
         reach = [math.ceil(r_cut / hx) for hx in h]
@@ -362,7 +361,7 @@ class TestMonotoneFunctional:
     def test_product_datum_is_constant(self):
         datum = loomis_whitney_2d()
         grids = [
-            GridFunction.sample(
+            sample_grid(
                 lambda p: (np.abs(p[:, 0]) <= 2.0).astype(float), [-10], [10], [501]
             )
             for _ in range(2)
@@ -401,7 +400,7 @@ class TestMonotoneFunctional:
         datum = young_frame()
         grids = [bump_1d(width=2.0, center=c, half=15.0, n=301) for c in (1.0, -0.5, 0.3)]
         times = [0.0, 0.25, 1.0]
-        box = default_integration_box(datum, grids, n_per_axis=61)
+        box = _default_box(datum, grids, 61)
         assert monotone_functional(datum, grids, times, box=box) == _dense_monotone(
             datum, grids, times, box)
 
@@ -409,7 +408,7 @@ class TestMonotoneFunctional:
         datum = young_frame()
         grids = [bump_1d(width=2.0, center=c, half=15.0, n=301) for c in (1.0, -0.5, 0.3)]
         times = [0.0, 0.25, 1.0]
-        box = default_integration_box(datum, grids, n_per_axis=241)
+        box = _default_box(datum, grids, 241)
         assert math.prod(box[2]) > 1.5 * heatflow.SCAN_CHUNK
         expected = _dense_monotone(datum, grids, times, box)
         got = monotone_functional(datum, grids, times, box=box)
@@ -423,7 +422,7 @@ class TestMonotoneFunctional:
         # a 1001^2 box: the whole-box stencils alone would take over 100 MB
         datum = young_frame()
         grids = [bump_1d(width=2.0, center=c, half=15.0, n=601) for c in (1.0, -0.5, 0.3)]
-        box = default_integration_box(datum, grids, n_per_axis=1001)
+        box = _default_box(datum, grids, 1001)
         monotone_functional(datum, grids, [0.0, 0.5, 1.0], box=box)
         tracemalloc.start()
         try:
@@ -446,6 +445,12 @@ class TestMonotoneFunctional:
         plane = GridFunction([-5.0, -5.0], [5.0, 5.0], [11, 11], np.ones((11, 11)))
         with pytest.raises(ValueError, match="grid axis counts"):
             monotone_functional(datum, [plane, gaussian_grid()], [0.0])
+
+
+def _default_box(datum, grids, n):
+    """The default integration box with ``n`` samples per axis."""
+    lo, hi, _ = default_integration_box(datum, grids)
+    return lo, hi, (n,) * len(lo)
 
 
 def _dense_monotone(datum, grids, times, box):
@@ -504,10 +509,10 @@ def line3_inputs(n=21, g_half=12.0, g_points=481):
     Jensen's inequality, with equality on the diagonal."""
     lam = np.array([0.5, 0.3, 0.2])
     datum = make_datum((1, 1, 1), (1,), lam, (1.0,), [lam])
-    f_grids = [GridFunction.sample(lambda p, li=li: np.exp(li - p[:, 0] ** 2), [-6.0], [6.0], [n])
+    f_grids = [sample_grid(lambda p, li=li: np.exp(li - p[:, 0] ** 2), [-6.0], [6.0], [n])
                for li in (0.1, -0.2, 0.3)]
     m = float(lam @ [0.1, -0.2, 0.3])
-    g = GridFunction.sample(lambda p: np.exp(m - p[:, 0] ** 2), [-g_half], [g_half], [g_points])
+    g = sample_grid(lambda p: np.exp(m - p[:, 0] ** 2), [-g_half], [g_half], [g_points])
     return datum, f_grids, [g]
 
 

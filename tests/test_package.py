@@ -3,6 +3,7 @@
 import ast
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,10 @@ UNUSED_EXPORTS = {
     "transform_from_json": "a planned re-check of a transformed datum reads the transform with it",
 }
 
+# Public methods and properties of exported classes that nothing in
+# ``src/frbl`` or ``perfbench/`` reads, each kept for the reason given.
+UNUSED_METHODS: dict[str, str] = {}
+
 
 def test_all_is_unique_and_resolves():
     assert len(frbl.__all__) == len(set(frbl.__all__))
@@ -95,6 +100,33 @@ def test_every_export_has_a_caller():
     for path in SRC.glob("*.py"):
         used |= _referenced(ast.parse(path.read_text(encoding="utf-8")))
     assert {name for name in frbl.__all__ if name not in used} == set(UNUSED_EXPORTS)
+
+
+def _attribute_reads(tree) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def test_every_method_has_a_caller():
+    """Each public method or property of an exported class is read as an
+    attribute in ``src/frbl`` outside its own definition, or is a word of
+    ``perfbench/*.py``, or is listed with its reason.
+
+    The check goes by name, like :func:`test_every_export_has_a_caller`, so
+    any read of the same name counts: it would not flag a member such as a
+    ``CenteredGaussian.standard``, since perfbench has a local ``standard``."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    reads = sum(map(_attribute_reads, trees), Counter())
+    words = _perfbench_words()
+    unread = {
+        f"{cls.name}.{fn.name}"
+        for tree in trees for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in frbl.__all__
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and reads[fn.name] == _attribute_reads(fn)[fn.name] and fn.name not in words
+    }
+    assert unread == set(UNUSED_METHODS)
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
