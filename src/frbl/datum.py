@@ -70,14 +70,10 @@ def _numbers(value, what: str) -> np.ndarray:
 def _as_dim_tuple(dims, label: str, violations: list[str]) -> tuple[int, ...]:
     out = []
     for x in dims:
-        try:
-            xi = int(x)
-        except (TypeError, ValueError, OverflowError):
-            xi = None
-        if xi is None or xi != x or xi < 1 or isinstance(x, bool):
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool) or x < 1:
             violations.append(f"{label} must be positive integers, got {x!r}")
             return ()
-        out.append(xi)
+        out.append(int(x))
     if not out:
         violations.append(f"{label} must be non-empty")
     return tuple(out)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from operator import iadd, imul, ipow
 
 import numpy as np
 
@@ -140,29 +141,33 @@ class GridFunction:
             raise ValueError("interpolation point outside the grid box")
         return self._apply_stencil(self._stencil(pts))
 
-    def _stencil(self, pts: np.ndarray) -> list:
-        """Corner indices and per-axis weights of the multilinear interpolant
-        at in-box points, one ``(index tuple, weights)`` pair per cell corner;
-        they serve every grid of the same box and shape."""
+    def _stencil(self, pts: np.ndarray) -> tuple:
+        """The multilinear interpolant's stencil at in-box points: the flat
+        index into ``values`` of each point's lowest cell corner, and per cell
+        corner its flat offset and per-axis weights.  It serves every grid of
+        the same box and shape."""
         h = self.spacing
         lower, weights = [], []
         for ax in range(self.dim):
-            u = (pts[:, ax] - self.lo[ax]) / h[ax]
-            i0 = np.clip(np.floor(u).astype(int), 0, self.n[ax] - 2)
-            frac = u - i0
-            lower.append(i0)
-            weights.append((1.0 - frac, frac))
+            u = pts[:, ax] - self.lo[ax]
+            u /= h[ax]
+            i0 = np.floor(u)
+            np.clip(i0, 0, self.n[ax] - 2, out=i0)
+            u -= i0  # the fraction of the cell; slightly outside [0, 1] in the eps band
+            lower.append(i0.astype(np.intp))
+            weights.append((1.0 - u, u))
         corners = [(0,), (1,)] if self.dim == 1 else [(0, 0), (1, 0), (0, 1), (1, 1)]
-        return [
-            (tuple(i + c for i, c in zip(lower, corner)), [w[c] for w, c in zip(weights, corner)])
-            for corner in corners
-        ]
+        strides = (1,) if self.dim == 1 else (self.n[1], 1)
+        base = lower[0] if self.dim == 1 else iadd(lower[0] * self.n[1], lower[1])
+        return base, [(int(np.dot(c, strides)), [w[k] for w, k in zip(weights, c)]) for c in corners]
 
     def _apply_stencil(self, stencil) -> np.ndarray:
         """This grid's multilinear interpolant on a stencil from :meth:`_stencil`:
         the sum over corners of ``value * weight_x1 * weight_x2``, evaluated
         left to right (another order changes the last bits of the result)."""
-        return reduce(np.add, [reduce(np.multiply, [self.values[idx], *w]) for idx, w in stencil])
+        base, corners = stencil
+        flat = self.values.ravel()
+        return reduce(iadd, (reduce(imul, w, np.take(flat[offset:], base)) for offset, w in corners))
 
 
 def grid_to_json(grid: GridFunction) -> dict:
@@ -340,17 +345,19 @@ def _walk(datum: FrblDatum, g_grids, axes):
     for start in range(0, n_rows, step):
         rows = np.arange(start, min(start + step, n_rows))
         row = np.unravel_index(rows, shape[:-1]) if dim > 1 else ()
-        lead = [coords[i, None] for coords, i in zip(axes, row)]
-        nodes = np.stack(np.broadcast_arrays(*lead, axes[-1]), axis=-1).reshape(-1, dim)
+        nodes = np.empty((len(rows), shape[-1], dim))
+        for ax, coords in enumerate([*(c[i, None] for c, i in zip(axes, row)), axes[-1]]):
+            nodes[..., ax] = coords
+        nodes = nodes.reshape(-1, dim)
         yield (row, nodes, *_interior(datum, g_grids, nodes))
 
 
 def _g_side(datum: FrblDatum, g_grids, stencils, shift: float) -> np.ndarray:
-    """``prod_j (g_j + shift)^{d_j}`` at the points of the stencils."""
-    return reduce(np.multiply, [
-        (gg._apply_stencil(st) + shift) ** float(dj)
-        for gg, st, dj in zip(g_grids, stencils, datum.d)
-    ])
+    """``prod_j (g_j + shift)^{d_j}`` at the points of the stencils, each pass
+    in place on the interpolant it starts from, in factor order."""
+    parts = (iadd(gg._apply_stencil(st), shift) for gg, st in zip(g_grids, stencils))
+    # x ** 1.0 is x, so unit exponents skip the power
+    return reduce(imul, (p if dj == 1.0 else ipow(p, float(dj)) for p, dj in zip(parts, datum.d)))
 
 
 def _sides_at_nodes(datum: FrblDatum, f_grids, g_grids, nodes, shift: float):
@@ -437,8 +444,9 @@ def verify_preservation(
             f_side = reduce(np.multiply, [p[row[a:b - 1]] if b == dim else p[row[a:b]][:, None]
                                           for p, a, b in zip(fp, factor_axes, factor_axes[1:])])
             g_side = _g_side(datum, gt, stencils, shift)
-            defect = g_side - f_side.ravel()[inside]
-            g_max[s] = np.maximum(g_max[s], g_side.max())
+            g_top = g_side.max()
+            g_max[s] = np.maximum(g_max[s], g_top)
+            defect = np.subtract(g_side, f_side.ravel()[inside], out=g_side)
             if s == 0:
                 # the final threshold can only be larger, so this keeps every violation
                 low = defect < -tol * (1.0 + float(g_max[0]))
@@ -446,9 +454,10 @@ def verify_preservation(
                 low_defects.append(defect[low])
                 continue
             k = s - 1  # index into the scanned times
-            if not np.all(np.isfinite(defect)):
-                finite[k] = False
             i_min = int(np.argmin(defect))
+            # argmin finds the first NaN and -inf; a +inf defect needs a +inf g side
+            if not (np.isfinite(defect[i_min]) and np.isfinite(g_top)):
+                finite[k] = False
             if defect[i_min] < min_defects[k]:  # strict: the first minimum wins
                 min_defects[k] = float(defect[i_min])
                 argmins[k] = tuple(float(x) for x in nodes[i_min])

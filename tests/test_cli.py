@@ -682,6 +682,18 @@ class TestContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "integer count" in captured.err
 
+    @pytest.mark.parametrize("key", ["in_dims", "out_dims"])
+    def test_dimensions_must_be_integers(self, key, tmp_path, capsys):
+        # a float equal to an integer is refused, as grid counts refuse 101.0
+        raw = {**datum_to_json(prekopa_leindler(0.5)), "in_dims": [1, 1], "out_dims": [1]}
+        raw[key] = [float(x) for x in raw[key]]
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(raw))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert "must be positive integers" in captured.err
+
     @pytest.mark.parametrize("case", ["datum c", "datum in_dims", "grid lo", "tuple form",
                                       "tuple log_prefactor"])
     def test_json_numbers_must_be_numbers(self, case, pl_file, tmp_path, capsys):

@@ -80,6 +80,24 @@ class TestGridFunction:
         g = GridFunction([0.0, 0.0], [1.0, 1.0], [2, 2], vals)
         assert g.interpolate([[0.5, 0.5]])[0] == pytest.approx(2.75)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_eps_band_matches_dense_interpolant_bit_for_bit(self, dim):
+        # a bump that is 0 at the box edges, sampled at in-box points and at
+        # points up to _BOUND_EPS outside, where the cell fraction leaves [0, 1]
+        lo, hi, n = [-1.5, -2.0][:dim], [1.5, 1.0][:dim], [13, 10][:dim]
+        g = sample_grid(lambda p: np.prod(np.clip(1.0 - p**2, 0.0, None), axis=1), lo, hi, n)
+        assert g.values.min() == 0.0
+        rng = np.random.default_rng(7)
+        lo, hi = np.array(lo), np.array(hi)
+        eps = heatflow._BOUND_EPS * (hi - lo)
+        edge = np.where(rng.random((200, dim)) < 0.5, lo, hi)
+        band = edge + rng.uniform(-1.0, 1.0, (200, dim)) * eps
+        pts = np.concatenate([rng.uniform(lo, hi, (200, dim)), band, [lo - 0.9 * eps, hi + 0.9 * eps]])
+        assert g.contains(pts).all() and not ((pts >= lo) & (pts <= hi)).all()
+        got = g.interpolate(pts)
+        np.testing.assert_array_equal(got, dense_interpolate(g, pts))
+        assert (got == 0.0).sum() > 50 and not np.signbit(got).any()
+
     def test_interpolation_out_of_range(self):
         g = GridFunction([0.0], [1.0], [2], np.zeros(2))
         with pytest.raises(ValueError, match="outside"):
@@ -516,6 +534,20 @@ def line3_inputs(n=21, g_half=12.0, g_points=481):
     return datum, f_grids, [g]
 
 
+def rotated_plane_inputs(theta=0.3):
+    """One two-axis factor into one rotated two-axis factor, ``c = d = 1``:
+    ``f = 0.9 g(Q x)`` on a square box whose corners ``Q`` turns out of the
+    g box, and g on a box of other counts per axis."""
+    q = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    datum = make_datum((2,), (2,), (1.0,), (1.0,), q)
+
+    def g_fn(y):
+        return np.exp(-0.5 * y[:, 0] ** 2 - y[:, 1] ** 2)
+
+    f_grid = sample_grid(lambda p: 0.9 * g_fn(p @ q.T), [-4.0] * 2, [4.0] * 2, [33, 37])
+    return datum, [f_grid], [sample_grid(g_fn, [-4.8, -5.2], [4.8, 5.2], [49, 53])]
+
+
 def _equivalence_cases():
     g = gaussian_grid(n=101)
     young, young_f, _ = young_bump_inputs(n=61)
@@ -525,6 +557,7 @@ def _equivalence_cases():
         "young-narrow": (young, young_f, narrow),
         "line3": line3_inputs(),
         "line3-narrow": line3_inputs(g_half=3.0, g_points=121),
+        "rotated-plane-narrow": rotated_plane_inputs(),
     }
 
 
@@ -569,6 +602,19 @@ class TestChunkedScan:
         for scan in (verify_preservation, dense_verify_preservation):
             with pytest.raises(ValueError, match=r"non-finite defect values at t=0\.1"):
                 scan(datum, f_grids, g_grids, [0.1, 0.5], shift=-0.5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add")
+    @pytest.mark.parametrize("overflowing", ["every node", "one node"])
+    def test_infinite_defect_matches_dense_scan(self, overflowing):
+        # g + shift overflows to +inf: the g side and the defect are +inf there,
+        # while the minimum defect stays finite when only one node overflows
+        datum, g = prekopa_leindler(0.5), gaussian_grid(n=101)
+        values = np.full(g.n, 1e308) if overflowing == "every node" else g.values.copy()
+        values[50] = 1e308
+        big = GridFunction(g.lo, g.hi, g.n, values)
+        for scan in (verify_preservation, dense_verify_preservation):
+            with pytest.raises(ValueError, match=r"non-finite defect values at t=0\.0"):
+                scan(datum, [g, g], [big], [0.0], shift=1e308)
 
 
 def _precondition_nodes(scan, datum, f_grids, g_grids):
