@@ -31,15 +31,24 @@ import sys
 from dataclasses import asdict
 from itertools import accumulate
 
-import numpy as np
-import orjson
+# One BLAS thread unless the user sets a count.  Under OpenBLAS's default
+# threading on two cores the LAPACK set-up of the sigma constraints now and
+# then stalls for 0.1-0.6 s in a fresh process, and the projections of the
+# defect scan compete with its own two threads.  The count takes effect only
+# if set before numpy loads, so an import after numpy changes nothing.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import datum as dm
-from . import gaussian as gc
-from . import heatflow as hf
-from .datum import datum_to_json, transform_to_json
-from .geometry import DEFAULT_FEASIBILITY_TOL, DEFAULT_MAX_ITER, check_geometric, find_sigma
-from .instances import INSTANCE_NAMES, generate
+import numpy as np  # noqa: E402
+import orjson  # noqa: E402
+
+from . import datum as dm  # noqa: E402
+from . import gaussian as gc  # noqa: E402
+from . import heatflow as hf  # noqa: E402
+from .datum import datum_to_json, transform_to_json  # noqa: E402
+from .geometry import (DEFAULT_FEASIBILITY_TOL, DEFAULT_MAX_ITER, check_geometric,  # noqa: E402
+                       find_sigma)
+from .instances import INSTANCE_NAMES, generate  # noqa: E402
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,31 +76,37 @@ MAX_JSON_DEPTH = 64
 # at any quote succeeds and the scan stays linear on any input; orjson
 # rejects the unclosed string itself.
 _JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)', re.DOTALL)
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}')))
-_NESTING = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+_NOT_MARK = bytes(sorted(set(range(256)) - set(b'"[]{}tf')))
+_NESTING = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1, ord("t"): 0, ord("f"): 0}
 
 
-def _json_depth(data: bytes) -> int:
-    """How deep arrays and objects nest in the JSON text ``data``; brackets
-    inside strings do not count."""
+def _json_marks(data: bytes) -> bytes:
+    """The brackets of the JSON text ``data`` outside strings, with the
+    letters ``t`` and ``f``, which outside strings begin only ``true`` and
+    ``false``."""
     if b"\\" in data:  # an escaped quote does not end its string
         data = _JSON_STRING.sub(b"", data)
-    # quotes and brackets alone, then the strings among them dropped
-    marks = _JSON_STRING.sub(b"", data.translate(None, _NOT_STRUCTURE))
-    return max(accumulate(map(_NESTING.__getitem__, marks)), default=0)
+    # quotes, brackets and the two letters alone, then the strings among them dropped
+    return _JSON_STRING.sub(b"", data.translate(None, _NOT_MARK))
 
 
 def _load_json(path: str):
     """The JSON value in the file ``path``, decoded by orjson from one read.
 
     ValueError covers malformed JSON, bytes that are not UTF-8, the
-    non-standard tokens and numbers beyond double range."""
+    non-standard tokens, numbers beyond double range and ``true`` or
+    ``false``, which no input format holds: numpy would read a boolean
+    among floats as a number."""
     with _input_errors(f"cannot read JSON from {path}: ", (OSError, ValueError)):
         with open(path, "rb") as fh:
             data = fh.read()
-        if _json_depth(data) > MAX_JSON_DEPTH:
+        marks = _json_marks(data)
+        if max(accumulate(map(_NESTING.__getitem__, marks)), default=0) > MAX_JSON_DEPTH:
             raise ValueError(f"arrays and objects nest deeper than {MAX_JSON_DEPTH} levels")
-        return orjson.loads(data)
+        value = orjson.loads(data)
+        if b"t" in marks or b"f" in marks:
+            raise ValueError("true and false are not numbers, and no input holds them")
+        return value
 
 
 def _load(path: str, what: str, parse):

@@ -14,10 +14,13 @@ scale.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import reduce
-from operator import iadd, imul, ipow
+from operator import imul
 
 import numpy as np
 
@@ -139,35 +142,72 @@ class GridFunction:
             raise ValueError(f"points have dim {pts.shape[1]}, grid has dim {self.dim}")
         if not np.all(self.contains(pts)):
             raise ValueError("interpolation point outside the grid box")
-        return self._apply_stencil(self._stencil(pts))
+        stencil = _Stencil(self, len(pts))
+        out, scratch = np.empty((2, len(pts)))
+        stencil.fill(pts, scratch)
+        return stencil.apply(self.values, out, scratch)
 
-    def _stencil(self, pts: np.ndarray) -> tuple:
-        """The multilinear interpolant's stencil at in-box points: the flat
-        index into ``values`` of each point's lowest cell corner, and per cell
-        corner its flat offset and per-axis weights.  It serves every grid of
-        the same box and shape."""
-        h = self.spacing
-        lower, weights = [], []
-        for ax in range(self.dim):
-            u = pts[:, ax] - self.lo[ax]
-            u /= h[ax]
-            i0 = np.floor(u)
-            np.clip(i0, 0, self.n[ax] - 2, out=i0)
-            u -= i0  # the fraction of the cell; slightly outside [0, 1] in the eps band
-            lower.append(i0.astype(np.intp))
-            weights.append((1.0 - u, u))
-        corners = [(0,), (1,)] if self.dim == 1 else [(0, 0), (1, 0), (0, 1), (1, 1)]
-        strides = (1,) if self.dim == 1 else (self.n[1], 1)
-        base = lower[0] if self.dim == 1 else iadd(lower[0] * self.n[1], lower[1])
-        return base, [(int(np.dot(c, strides)), [w[k] for w, k in zip(weights, c)]) for c in corners]
 
-    def _apply_stencil(self, stencil) -> np.ndarray:
-        """This grid's multilinear interpolant on a stencil from :meth:`_stencil`:
-        the sum over corners of ``value * weight_x1 * weight_x2``, evaluated
-        left to right (another order changes the last bits of the result)."""
-        base, corners = stencil
-        flat = self.values.ravel()
-        return reduce(iadd, (reduce(imul, w, np.take(flat[offset:], base)) for offset, w in corners))
+class _Stencil:
+    """The multilinear interpolant's stencil at up to ``size`` points of one
+    grid box, in buffers allocated once: per point the flat index into the
+    values of its lowest cell corner, and per axis the weights ``1 - u`` and
+    ``u`` of the cell fraction ``u``.  It serves every grid of the box's
+    shape, so every heat evolution of a grid.  Its arrays and those it is
+    given are written with ``out=`` only."""
+
+    def __init__(self, grid: GridFunction, size: int):
+        self.lo, self.h, self.n = grid.lo, grid.spacing, grid.n
+        eps = [_BOUND_EPS * (b - a) for a, b in zip(grid.lo, grid.hi)]
+        # the box of GridFunction.contains: the closed grid box widened by eps
+        self.bounds = [(a - e, b + e) for a, b, e in zip(grid.lo, grid.hi, eps)]
+        self.base = np.empty(size, dtype=np.intp)
+        self.weights = np.empty((grid.dim, 2, size))
+        # per cell corner its flat offset and the weight index of each axis
+        self.corners = ([(0, (0,)), (1, (1,))] if grid.dim == 1 else
+                        [(0, (0, 0)), (self.n[1], (1, 0)), (1, (0, 1)), (self.n[1] + 1, (1, 1))])
+
+    def inside(self, pts: np.ndarray, mask: np.ndarray, flag: np.ndarray) -> None:
+        """Clear ``mask`` where a point of ``pts`` lies outside the box."""
+        for ax, (a, b) in enumerate(self.bounds):
+            mask &= np.greater_equal(pts[:, ax], a, out=flag)
+            mask &= np.less_equal(pts[:, ax], b, out=flag)
+
+    def fill(self, pts: np.ndarray, scratch: np.ndarray) -> None:
+        """The stencil at the in-box points ``pts``; ``scratch`` holds at
+        least ``len(pts)`` floats.  The cell fraction is clamped to [0, 1],
+        so a point in the eps band outside the box takes the edge value."""
+        self.count = k = len(pts)
+        base, lower = self.base[:k], scratch[:k]
+        base.fill(0)
+        for ax, (w, u) in enumerate(self.weights[:, :, :k]):
+            np.subtract(pts[:, ax], self.lo[ax], out=u)
+            u /= self.h[ax]
+            np.floor(u, out=lower)
+            np.clip(lower, 0, self.n[ax] - 2, out=lower)
+            u -= lower
+            np.clip(u, 0.0, 1.0, out=u)
+            np.subtract(1.0, u, out=w)
+            base *= self.n[ax]
+            np.add(base, lower, out=base, casting="unsafe")
+
+    def apply(self, values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The interpolant of ``values`` (a grid of this box's shape) at the
+        stencil's points, in ``out[:count]``: the sum over corners of
+        ``value * weight_x1 * weight_x2``, evaluated left to right (another
+        order changes the last bits of the result)."""
+        k = self.count
+        flat, base = values.ravel(), self.base[:k]
+        out, scratch = out[:k], scratch[:k]
+        for c, (offset, sides) in enumerate(self.corners):
+            corner = scratch if c else out
+            # every index is in range; mode="raise" would copy through a temporary
+            np.take(flat[offset:], base, out=corner, mode="clip")
+            for ax, side in enumerate(sides):
+                corner *= self.weights[ax, side, :k]
+            if c:
+                out += corner
+        return out
 
 
 def grid_to_json(grid: GridFunction) -> dict:
@@ -321,51 +361,153 @@ def _check_flow_inputs(datum: FrblDatum, f_grids, g_grids) -> None:
         raise ValueError("grid scans are limited to input sums of dimension at most 3")
 
 
-def _interior(datum: FrblDatum, g_grids, nodes):
-    """Mask of the nodes whose every g projection lies in its grid, and the
-    interpolation stencils of those projections, one per g grid."""
-    projections = [nodes @ datum.out_row(j).T for j in range(len(g_grids))]
-    mask = reduce(np.logical_and, [gg.contains(pts) for gg, pts in zip(g_grids, projections)])
-    if not mask.all():
-        projections = [pts[mask] for pts in projections]
-    return mask, [gg._stencil(pts) for gg, pts in zip(g_grids, projections)]
+class _Workspace:
+    """The buffers of one chunk of at most ``size`` nodes of a grid walk:
+    its nodes, their projections onto the g grids, the interior mask, the
+    stencils, and three float arrays for the sides of the relation.  A chunk
+    writes every chunk-sized array into these; only the indices of the
+    interior nodes of a chunk that has exterior ones are allocated."""
+
+    def __init__(self, size: int, dim: int, g_grids):
+        self.nodes, self.inner = np.empty((2, size, dim))
+        self.proj = [np.empty((size, gg.dim)) for gg in g_grids]
+        self.points = np.empty((size, max(gg.dim for gg in g_grids)))  # one grid's, compressed
+        self.mask, self.flag = np.empty((2, size), dtype=bool)
+        self.side, self.part, self.scratch = np.empty((3, size))
+        self.stencils = [_Stencil(gg, size) for gg in g_grids]
+        self.index = None  # the interior nodes' indices; None when every node is interior
+
+    def interior(self, rows_t, count: int) -> np.ndarray:
+        """Project the first ``count`` nodes by the transposed rows of ``Q``
+        (one per g grid), keep those whose every projection lies in its grid
+        box and fill the stencils there; returns the interior nodes."""
+        nodes, mask, flag = self.nodes[:count], self.mask[:count], self.flag[:count]
+        mask.fill(True)
+        proj = [np.matmul(nodes, q_t, out=p[:count]) for q_t, p in zip(rows_t, self.proj)]
+        for st, pts in zip(self.stencils, proj):
+            st.inside(pts, mask, flag)
+        self.index = None if mask.all() else np.flatnonzero(mask)
+        if self.index is not None:
+            nodes = self.compress(nodes, self.inner)
+        for st, pts in zip(self.stencils, proj):
+            st.fill(pts if self.index is None else self.compress(pts, self.points), self.scratch)
+        return nodes
+
+    def compress(self, a: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """The rows of ``a`` at the interior nodes, in the front of ``buf``."""
+        out = buf.reshape(-1)[:len(self.index) * a.shape[1]].reshape(-1, a.shape[1])
+        return np.take(a, self.index, axis=0, out=out, mode="clip")
+
+    def g_side(self, g_grids, d, shift: float) -> np.ndarray:
+        """``prod_j (g_j + shift)^{d_j}`` at the interior nodes, each factor in
+        place on its interpolant, multiplied in factor order."""
+        side = None
+        for gg, st, dj in zip(g_grids, self.stencils, d):
+            part = st.apply(gg.values, self.part if side is not None else self.side, self.scratch)
+            part += shift
+            if dj != 1.0:  # x ** 1.0 is x
+                part **= float(dj)
+            side = part if side is None else imul(side, part)
+        return side
+
+    def f_side(self, powers, row, factor_axes) -> np.ndarray:
+        """The product of the f factors' ``powers`` at the interior nodes of
+        the chunk whose rows of the leading axes are ``row``, in factor order.
+
+        Each factor but the last takes one value per row; the last factor's
+        values run along the last axis too."""
+        *firsts, last = powers
+        shape = (len(row[0]) if row else 1, last.shape[-1])
+        out = self.scratch[:math.prod(shape)].reshape(shape)
+        if last.ndim == 2:
+            last = np.take(last, row[factor_axes[-2]], axis=0, out=out, mode="clip")
+        per_row = [p[row[a:b]][:, None] for p, a, b in zip(firsts, factor_axes, factor_axes[1:])]
+        if per_row:  # the product of two factors is the same in either order
+            last = np.multiply(reduce(np.multiply, per_row), last, out=out)
+        out = last.ravel()  # with one axis in all, the chunk is the whole axis
+        if self.index is None:
+            return out
+        return np.take(out, self.index, out=self.part[:len(self.index)], mode="clip")
 
 
-def _walk(datum: FrblDatum, g_grids, axes):
-    """The nodes of the product of the 1-D ``axes``, last axis fastest, in
-    chunks of ``max(1, SCAN_CHUNK // n_last)`` whole rows of the last axis.
+def _threads() -> int:
+    """Two threads for a grid walk where the process may run on two CPUs or
+    more, else one."""
+    return 2 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else 1
 
-    Yields per chunk its rows' indices into the leading axes, its ``(N, dim)``
-    nodes, and :func:`_interior`'s mask and stencils, which serve every heat
-    evolution of ``g_grids`` since evolution keeps each box.  Working memory
-    is a few dozen arrays of ``max(SCAN_CHUNK, n_last)`` nodes at most."""
+
+def _walk(datum: FrblDatum, g_grids, axes, scan) -> list:
+    """``scan(nodes, row, workspace)`` on every chunk of the product of the
+    1-D ``axes``, last axis fastest; returns its results in chunk order.
+
+    A chunk is ``max(1, SCAN_CHUNK // n_last)`` whole rows of the last axis.
+    ``row`` holds its rows' indices into the leading axes and ``nodes`` its
+    interior nodes: those whose every projection lies in its g grid.  The
+    workspace holds the chunk's nodes, mask and stencils at those nodes,
+    which serve every heat evolution of ``g_grids`` since evolution keeps
+    each box.  ``scan`` returns ``None`` for a chunk without interior nodes.
+
+    With two CPUs or more, a worker thread takes every other chunk; each
+    thread works in its own workspace, which this thread allocates before the
+    walk, and the worker joins before the walk returns.  ``scan`` then runs
+    on both threads, so it must not call what a tracer may wrap, such as
+    :func:`heat_step` or :meth:`GridFunction.interpolate`.  Working memory is
+    a few dozen arrays of ``max(SCAN_CHUNK, n_last)`` nodes per thread."""
     shape = tuple(len(ax) for ax in axes)
     dim, n_rows = len(shape), math.prod(shape[:-1])
     step = max(1, SCAN_CHUNK // shape[-1])
-    for start in range(0, n_rows, step):
+    starts = range(0, n_rows, step)
+    rows_t = [datum.out_row(j).T for j in range(len(g_grids))]
+    size = min(step, n_rows) * shape[-1]
+    spaces = [_Workspace(size, dim, g_grids) for _ in range(min(_threads(), len(starts)))]
+    results, errors = [None] * len(starts), []
+
+    def chunk(ws, start):
         rows = np.arange(start, min(start + step, n_rows))
         row = np.unravel_index(rows, shape[:-1]) if dim > 1 else ()
-        nodes = np.empty((len(rows), shape[-1], dim))
+        count = len(rows) * shape[-1]
+        grid = ws.nodes[:count].reshape(len(rows), shape[-1], dim)
         for ax, coords in enumerate([*(c[i, None] for c, i in zip(axes, row)), axes[-1]]):
-            nodes[..., ax] = coords
-        nodes = nodes.reshape(-1, dim)
-        yield (row, nodes, *_interior(datum, g_grids, nodes))
+            grid[..., ax] = coords
+        nodes = ws.interior(rows_t, count)
+        return scan(nodes, row, ws) if len(nodes) else None
 
+    def run(thread):
+        # every other chunk; a failure stops the later chunks of both threads,
+        # and the first failing chunk's exception is raised after the join
+        for i in range(thread, len(starts), len(spaces)):
+            if any(j < i for j, _ in errors):
+                return
+            try:
+                results[i] = chunk(spaces[thread], starts[i])
+            except BaseException as exc:
+                errors.append((i, exc))
+                return
 
-def _g_side(datum: FrblDatum, g_grids, stencils, shift: float) -> np.ndarray:
-    """``prod_j (g_j + shift)^{d_j}`` at the points of the stencils, each pass
-    in place on the interpolant it starts from, in factor order."""
-    parts = (iadd(gg._apply_stencil(st), shift) for gg, st in zip(g_grids, stencils))
-    # x ** 1.0 is x, so unit exponents skip the power
-    return reduce(imul, (p if dj == 1.0 else ipow(p, float(dj)) for p, dj in zip(parts, datum.d)))
+    # the worker runs in a copy of this thread's context, so numpy's error
+    # state (np.errstate) is the same on both threads
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, t))
+               for t in range(1, len(spaces))]
+    for w in workers:
+        w.start()
+    try:
+        run(0)
+    finally:
+        for w in workers:
+            w.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
 
 
 def _sides_at_nodes(datum: FrblDatum, f_grids, g_grids, nodes, shift: float):
     """The f side at every node of the full product grid, the g side and the
     interior mask: one scan chunk as a whole grid, timed by ``perfbench``."""
     f_side = reduce(np.multiply.outer, [fg.values ** ci for fg, ci in zip(f_grids, datum.c)])
-    mask, stencils = _interior(datum, g_grids, nodes)
-    return f_side.ravel(), _g_side(datum, g_grids, stencils, shift), mask
+    ws = _Workspace(len(nodes), nodes.shape[1], g_grids)
+    ws.nodes[:] = nodes
+    ws.interior([datum.out_row(j).T for j in range(len(g_grids))], len(nodes))
+    return f_side.ravel(), ws.g_side(g_grids, datum.d, shift), ws.mask
 
 
 def verify_preservation(
@@ -392,13 +534,17 @@ def verify_preservation(
     regularization for probing boundary behavior; zero by default).
 
     The factors are evolved first; each time keeps its f powers and g grids.
-    The nodes are then walked once by :func:`_walk`, and a chunk's f side is
-    the broadcast product of the powers at its rows.  The interior mask does
-    not depend on time, so ``nodes_evaluated`` is one count for all times.
-    Working memory is the walk's plus those powers and grids (the 401^2
-    young-frame scan at three times peaks near 15 MB, the 161^3 three-axis
-    one near 6 MB); only ``collect_fields`` returns full-size data, one
-    ``(nodes_evaluated, dim + 1)`` array per time.
+    The nodes are then walked once by :func:`_walk`, on two threads where
+    two CPUs are available, and a chunk's f side is the broadcast product of
+    the powers at its rows.  The chunks' minima, maxima, flags, time-zero
+    violations and fields are merged in chunk order, so the result does not
+    depend on the thread count.  The interior mask does not depend on time,
+    so ``nodes_evaluated`` is one count for all times.  Working memory is
+    the walk's plus those powers and grids (traced peaks: the 401^2
+    young-frame scan at three times near 15 MB, the 161^3 three-axis one
+    near 8 MB on two threads and 5 MB on one); only ``collect_fields``
+    returns full-size data, one ``(nodes_evaluated, dim + 1)`` array per
+    time.
     """
     _check_flow_inputs(datum, f_grids, g_grids)
     times = [float(t) for t in times]
@@ -422,9 +568,29 @@ def verify_preservation(
             break
     scanned = times[:len(states) - 1]
 
-    axes = [ax for fg in f_grids for ax in fg.axes()]
-    dim = len(axes)
     factor_axes = np.cumsum([0] + [fg.dim for fg in f_grids])
+
+    def scan(nodes, row, ws):
+        # per state the g maximum, then the time-zero candidates (filtered
+        # against this chunk's threshold, which the final one can only
+        # exceed) or per time the first minimum, its node, the finite flag
+        # and the field
+        tops, per_time = [], []
+        for s, (fp, gt) in enumerate(states):
+            defect = ws.g_side(gt, datum.d, shift)
+            tops.append(defect.max())
+            np.subtract(defect, ws.f_side(fp, row, factor_axes), out=defect)
+            if s == 0:
+                low = np.less(defect, -tol * (1.0 + float(tops[0])), out=ws.flag[:len(nodes)])
+                candidates = nodes[low], defect[low]
+                continue
+            i_min = int(np.argmin(defect))
+            # argmin finds the first NaN and -inf; a +inf defect needs a +inf g side
+            finite = bool(np.isfinite(defect[i_min]) and np.isfinite(tops[-1]))
+            per_time.append((float(defect[i_min]), tuple(float(x) for x in nodes[i_min]), finite,
+                             np.column_stack([nodes, defect]) if collect_fields else None))
+        return len(nodes), tops, candidates, per_time
+
     n_nodes = 0
     g_max = [-math.inf] * len(states)
     low_nodes, low_defects = [], []  # time-zero candidates for the precondition
@@ -432,37 +598,20 @@ def verify_preservation(
     argmins = [None] * len(scanned)
     finite = [True] * len(scanned)
     fields = [[] for _ in scanned]
-    for row, nodes, mask, stencils in _walk(datum, g_grids, axes):
-        inside = slice(None) if mask.all() else mask  # index only when some node is exterior
-        nodes = nodes[inside]
-        if not len(nodes):
+    axes = [ax for fg in f_grids for ax in fg.axes()]
+    for result in _walk(datum, g_grids, axes, scan):
+        if result is None:
             continue
-        n_nodes += len(nodes)
-        for s, (fp, gt) in enumerate(states):
-            # factor powers at the chunk's rows, multiplied in factor order; the
-            # last factor's runs along the last axis too
-            f_side = reduce(np.multiply, [p[row[a:b - 1]] if b == dim else p[row[a:b]][:, None]
-                                          for p, a, b in zip(fp, factor_axes, factor_axes[1:])])
-            g_side = _g_side(datum, gt, stencils, shift)
-            g_top = g_side.max()
-            g_max[s] = np.maximum(g_max[s], g_top)
-            defect = np.subtract(g_side, f_side.ravel()[inside], out=g_side)
-            if s == 0:
-                # the final threshold can only be larger, so this keeps every violation
-                low = defect < -tol * (1.0 + float(g_max[0]))
-                low_nodes.append(nodes[low])
-                low_defects.append(defect[low])
-                continue
-            k = s - 1  # index into the scanned times
-            i_min = int(np.argmin(defect))
-            # argmin finds the first NaN and -inf; a +inf defect needs a +inf g side
-            if not (np.isfinite(defect[i_min]) and np.isfinite(g_top)):
-                finite[k] = False
-            if defect[i_min] < min_defects[k]:  # strict: the first minimum wins
-                min_defects[k] = float(defect[i_min])
-                argmins[k] = tuple(float(x) for x in nodes[i_min])
-            if collect_fields:
-                fields[k].append(np.column_stack([nodes, defect]))
+        count, tops, (nodes, defects), per_time = result
+        n_nodes += count
+        g_max = [np.maximum(g, top) for g, top in zip(g_max, tops)]
+        low_nodes.append(nodes)
+        low_defects.append(defects)
+        for k, (least, node, ok, field) in enumerate(per_time):
+            finite[k] = finite[k] and ok
+            if least < min_defects[k]:  # strict: the first minimum wins
+                min_defects[k], argmins[k] = least, node
+            fields[k].append(field)
 
     if n_nodes == 0:
         raise ValueError("no scan node projects inside every g grid; widen the g grids")
@@ -536,12 +685,17 @@ def monotone_functional(
         raise ValueError(f"a box axis takes at most {MAX_BOX_AXIS} samples, got {max(n)}")
     times = [float(t) for t in times]
     evolved = [g_grids if t == 0.0 else [heat_step(gg, t) for gg in g_grids] for t in times]
+
+    def scan(nodes, row, ws):
+        if ws.index is not None:
+            return None
+        return [float(np.sum(ws.g_side(gt, datum.d, 0.0))) for gt in evolved]
+
     sums = [0.0] * len(times)
-    for _, _, inside, stencils in _walk(datum, g_grids, _axes(lo, hi, n)):
-        if not inside.all():
+    for chunk_sums in _walk(datum, g_grids, _axes(lo, hi, n), scan):
+        if chunk_sums is None:
             raise ValueError("interpolation point outside the grid box")
-        for k, gt in enumerate(evolved):
-            sums[k] += float(np.sum(_g_side(datum, gt, stencils, 0.0)))
+        sums = [total + part for total, part in zip(sums, chunk_sums)]
     cell = float(np.prod([(b - a) / (cnt - 1) for a, b, cnt in zip(lo, hi, n)]))
     return [(t, cell * total) for t, total in zip(times, sums)]
 

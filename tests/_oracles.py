@@ -116,14 +116,16 @@ def discrete_mass(grid) -> float:
 
 def dense_interpolate(grid, pts) -> np.ndarray:
     """Multilinear interpolation of a grid function at in-box points of
-    shape ``(N, dim)``, with no stencil shared with the library's scan."""
+    shape ``(N, dim)``, with no stencil shared with the library's scan.
+    The cell fraction is clamped to [0, 1], so a point up to ``_BOUND_EPS``
+    outside the box takes the edge value."""
     h = grid.spacing
     idx, frac = [], []
     for ax in range(grid.dim):
         u = (pts[:, ax] - grid.lo[ax]) / h[ax]
         i0 = np.clip(np.floor(u).astype(int), 0, grid.n[ax] - 2)
         idx.append(i0)
-        frac.append(u - i0)
+        frac.append(np.clip(u - i0, 0.0, 1.0))
     v = grid.values
     if grid.dim == 1:
         i0, f0 = idx[0], frac[0]

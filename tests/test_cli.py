@@ -68,11 +68,15 @@ def grids_file(tmp_path, name="grids.json", scale_f0=1.0):
     return str(path)
 
 
-def _run_fresh(code):
-    """Run ``code`` in a fresh interpreter that imports frbl from this checkout."""
+def _run_fresh(code, threads=None):
+    """Run ``code`` in a fresh interpreter that imports frbl from this checkout;
+    ``threads``, when given, replaces the BLAS thread-count variables."""
     src = os.path.dirname(os.path.dirname(frbl.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    if threads is not None:
+        env = {**{k: v for k, v in env.items()
+                  if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}, **threads}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
 
@@ -470,6 +474,23 @@ class TestFlow:
         _assert_one_error_line(captured)
         assert "grid axis counts" in captured.err
 
+    def test_eps_band_projection_takes_the_edge_value(self, tmp_path, capsys):
+        # 0.1 * 3.0 = 0.30000000000000004 lies in the eps band beyond the g
+        # grids' edge, where g is 0: the interpolant is that 0, not a negative
+        # extrapolation that the power 0.5 turns into NaN
+        datum, grids = tmp_path / "datum.json", tmp_path / "grids.json"
+        datum.write_text(json.dumps({"in_dims": [1], "out_dims": [1, 1], "c": [1.0],
+                                     "d": [0.5, 0.5], "Q": [[0.1], [0.1]]}))
+        f = {"lo": [-3.0], "hi": [3.0], "n": [7], "values": [0.0] + [0.5] * 5 + [0.0]}
+        g = {"lo": [-0.3], "hi": [0.3], "n": [7], "values": [0.0] + [1.0] * 5 + [0.0]}
+        grids.write_text(json.dumps({"f": [f], "g": [g, g]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["flow-verify", str(datum), str(grids), "--times", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["t,min_defect,argmin_x1", "0.0,0.0,-3.0"]
+        assert captured.err == "verdict: holds (tol=0.0001, nodes=7 of 7)\n"
+
     def test_monotone_wrong_k_exit_two(self, pl_file, tmp_path, capsys):
         xs = np.linspace(-6, 6, 101)
         g = GridFunction([-6.0], [6.0], [101], np.exp(-xs**2))
@@ -716,6 +737,41 @@ class TestContract:
         path.write_text(json.dumps(obj))
         assert main(argv) == 2
         _assert_one_error_line(capsys.readouterr())
+
+    @pytest.mark.parametrize("case", ["datum d", "grid values"])
+    def test_booleans_among_numbers_are_input_errors(self, case, pl_file, tmp_path, capsys):
+        # numpy reads [1.0, true] as [1.0, 1.0]; no input format holds a boolean
+        path = tmp_path / "input.json"
+        if case == "datum d":
+            path.write_text(json.dumps({**datum_to_json(loomis_whitney_2d()), "d": [1.0, True]}))
+            argv = ["check", str(path)]
+        else:
+            grid = grid_to_json(GridFunction([-6.0], [6.0], [3], [0.0, 1.0, 0.0]))
+            bad = {**grid, "values": [0.0, False, 0.0]}
+            path.write_text(json.dumps({"f": [grid, grid], "g": [bad]}))
+            argv = ["flow-verify", pl_file, str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert "true and false are not numbers" in captured.err
+
+    def test_true_and_false_inside_strings_are_read(self, pl_file, tmp_path, capsys):
+        path = tmp_path / "datum.json"
+        raw = json.loads(open(pl_file).read())
+        path.write_text(json.dumps({**raw, "note": "true or false, [t] {f}"}))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("env, expected", [({}, "1"), ({"OMP_NUM_THREADS": "2"}, None),
+                                               ({"OPENBLAS_NUM_THREADS": "3"}, "3")],
+                             ids=["unset", "omp-set", "openblas-set"])
+    def test_command_line_runs_one_blas_thread_unless_set(self, env, expected):
+        code = ("import os, sys\n"
+                "import frbl.cli\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        done = _run_fresh(code, env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(expected)
 
     @pytest.mark.parametrize("count", [100_000_000, MAX_BOX_AXIS + 1, MAX_BOX_AXIS])
     def test_box_axis_count_is_capped(self, count, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -548,6 +550,17 @@ def rotated_plane_inputs(theta=0.3):
     return datum, [f_grid], [sample_grid(g_fn, [-4.8, -5.2], [4.8, 5.2], [49, 53])]
 
 
+def line_plane_inputs():
+    """A line and a plane into one line, ``c = (0.5, 0.25)``: the last f
+    factor has two axes and the first one value per row of the scan.  The
+    f peaks meet at the origin, where the f side is 1, the g side's value;
+    the g grid on [-2, 2] leaves out nodes that project beyond it."""
+    datum = make_datum((1, 2), (1,), (0.5, 0.25), (1.0,), [[0.5, 0.3, 0.2]])
+    line = sample_grid(lambda p: np.exp(-p[:, 0] ** 2), [-3.0], [3.0], [13])
+    plane = sample_grid(lambda p: np.exp(-np.sum(p**2, axis=1)), [-3.0] * 2, [3.0] * 2, [11, 9])
+    return datum, [line, plane], [GridFunction([-2.0], [2.0], [41], np.ones(41))]
+
+
 def _equivalence_cases():
     g = gaussian_grid(n=101)
     young, young_f, _ = young_bump_inputs(n=61)
@@ -557,6 +570,7 @@ def _equivalence_cases():
         "young-narrow": (young, young_f, narrow),
         "line3": line3_inputs(),
         "line3-narrow": line3_inputs(g_half=3.0, g_points=121),
+        "line-plane-narrow": line_plane_inputs(),
         "rotated-plane-narrow": rotated_plane_inputs(),
     }
 
@@ -625,13 +639,18 @@ def _precondition_nodes(scan, datum, f_grids, g_grids):
     return err.value.nodes
 
 
+def _use_cpus(monkeypatch, count):
+    """Let the scan see ``count`` CPUs: with two, a worker thread takes every other chunk."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 class TestScanChunkSizes:
     """Chunks of one node (less than a row), of 97 nodes and of 2^20 nodes
-    (the whole scan) give the dense oracle's answer exactly."""
+    (the whole scan) give the dense oracle's answer exactly, on two CPUs
+    and on one."""
 
-    @pytest.mark.parametrize("chunk", [1, 97, 1 << 20])
-    @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
-    def test_matches_dense_scan(self, case, chunk, monkeypatch):
+    @staticmethod
+    def _check(case, chunk, monkeypatch):
         datum, f_grids, g_grids = _equivalence_cases()[case]
         times = [0.0, 0.1, 0.5]
         want = dense_verify_preservation(datum, f_grids, g_grids, times, collect_fields=True)
@@ -644,6 +663,18 @@ class TestScanChunkSizes:
             np.testing.assert_array_equal(a, b)
         got_nodes = _precondition_nodes(verify_preservation, datum, f_grids, g_grids)
         assert got_nodes and got_nodes == want_nodes
+
+    @pytest.mark.parametrize("chunk", [1, 97, 1 << 20])
+    @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+    def test_matches_dense_scan(self, case, chunk, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        self._check(case, chunk, monkeypatch)
+
+    @pytest.mark.parametrize("chunk", [1, 97, 1 << 20])
+    @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+    def test_one_cpu_matches_dense_scan(self, case, chunk, monkeypatch):
+        _use_cpus(monkeypatch, 1)
+        self._check(case, chunk, monkeypatch)
 
     def test_three_axis_scan_memory_is_bounded(self):
         # 121^3 nodes: the whole-grid f side alone would take 14 MB
@@ -679,6 +710,97 @@ class TestScanChunkSizes:
             tracemalloc.stop()
         assert field.holds and field.nodes_evaluated == 401**2
         assert peak <= 20 * 2**20
+
+
+def _integer_plane(datum, f0, f1, g_values):
+    """Two one-axis f grids on the integers -4..4 and a g grid on [-8, 8] with
+    spacing 0.5.  A projection with weights 0.5 or 1 of such nodes lands on
+    a g node, where the interpolant is the node's value exactly."""
+    return (datum, [GridFunction([-4.0], [4.0], [9], f) for f in (f0, f1)],
+            [GridFunction([-8.0], [8.0], [33], g_values)])
+
+
+class TestTwoThreadScan:
+    """The caller takes the even chunks and a worker the odd ones; one row
+    of nine nodes is one chunk here, and the merge keeps chunk order."""
+
+    @pytest.fixture(autouse=True)
+    def row_chunks(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(heatflow, "SCAN_CHUNK", 9)
+
+    @pytest.mark.parametrize("first_row", [1, 2], ids=["worker-first", "caller-first"])
+    def test_equal_minima_first_chunk_wins(self, first_row):
+        # the g side is 1 at every node; f0 peaks on two consecutive rows and
+        # f1 at one column, so the minimum defect is met twice, on the worker's
+        # and the caller's chunk
+        f0, f1 = np.full(9, 0.25), np.full(9, 0.25)
+        f0[first_row:first_row + 2] = f1[4] = 0.81
+        inputs = _integer_plane(prekopa_leindler(0.5), f0, f1, np.ones(33))
+        got = verify_preservation(*inputs, [0.0], collect_fields=True)
+        field = got.fields[0]
+        assert (field[:, 2] == got.min_defect[0]).sum() == 2
+        assert got.argmin == ((-4.0 + first_row, 0.0),)
+        assert got.argmin == dense_verify_preservation(*inputs, [0.0]).argmin
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+    def test_nan_on_the_workers_chunk_alone(self, monkeypatch):
+        # Q = [1, 0]: the g side depends on x1 alone; g + shift < 0 only at the
+        # projection of row 1, the worker's first chunk, and d = 0.5 makes it NaN
+        datum = make_datum((1, 1), (1,), (0.25, 0.25), (0.5,), [[1.0, 0.0]])
+        g = np.ones(33)
+        g[10] = 0.0  # y = -3, the x1 of row 1
+        inputs = _integer_plane(datum, np.full(9, 0.01), np.full(9, 0.01), g)
+        seen = []
+        g_side = heatflow._Workspace.g_side
+
+        def spy(ws, *args):
+            out = g_side(ws, *args)
+            seen.append((threading.get_ident(), bool(np.isnan(out).any())))
+            return out
+
+        monkeypatch.setattr(heatflow._Workspace, "g_side", spy)
+        for scan in (verify_preservation, dense_verify_preservation):
+            with pytest.raises(ValueError, match=r"non-finite defect values at t=0\.0"):
+                scan(*inputs, [0.0], shift=-0.5)
+        nan_threads = {ident for ident, nan in seen if nan}
+        assert nan_threads and threading.get_ident() not in nan_threads
+        # the worker runs in the caller's numpy error state
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            verify_preservation(*inputs, [0.0], shift=-0.5)
+
+    def test_time_zero_violations_in_chunk_order(self):
+        datum, f_grids, g_grids = _equivalence_cases()["line3"]
+        nodes = _precondition_nodes(verify_preservation, datum, f_grids, g_grids)
+        assert nodes == _precondition_nodes(dense_verify_preservation, datum, f_grids, g_grids)
+        points = [x for x, _ in nodes]
+        assert points == sorted(points)
+        # one chunk is one row of the last axis: violations on both threads' chunks
+        axis = f_grids[0].axes()[0]
+        chunks = {np.searchsorted(axis, x[0]) * len(axis) + np.searchsorted(axis, x[1])
+                  for x in points}
+        assert {c % 2 for c in chunks} == {0, 1}
+
+    def test_traced_names_run_on_the_calling_thread_only(self, monkeypatch):
+        calls = []
+        for owner, name in ((heatflow, "heat_step"), (GridFunction, "interpolate"),
+                            (heatflow._Workspace, "g_side")):
+            original = getattr(owner, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        threads = threading.active_count()
+        datum, f_grids, g_grids = _equivalence_cases()["young-narrow"]
+        verify_preservation(datum, f_grids, g_grids, [0.1, 0.5])
+        monotone_functional(datum, g_grids, [0.0, 0.5])
+        GridFunction([0.0], [1.0], [2], [0.0, 1.0]).interpolate([[0.5]])
+        assert threading.active_count() == threads  # the worker joined
+        idents = {name: {ident for n, ident in calls if n == name} for name, _ in calls}
+        assert idents["heat_step"] == idents["interpolate"] == {threading.get_ident()}
+        assert len(idents["g_side"]) == 2
 
 
 def test_sides_at_nodes_match_dense_sides():

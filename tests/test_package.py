@@ -2,6 +2,8 @@
 
 import ast
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -56,6 +58,24 @@ UNUSED_EXPORTS = {
 # Public methods and properties of exported classes that nothing in
 # ``src/frbl`` or ``perfbench/`` reads, each kept for the reason given.
 UNUSED_METHODS: dict[str, str] = {}
+
+
+def test_library_imports_leave_the_environment_alone():
+    """``import frbl`` loads no module of the package and not numpy; neither
+    it nor the modules' imports change the environment, whatever the BLAS
+    thread variables say."""
+    code = ("import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import frbl\n"
+            "assert 'numpy' not in sys.modules and 'frbl.heatflow' not in sys.modules\n"
+            "from frbl import *\n"
+            "import frbl.datum, frbl.gaussian, frbl.geometry, frbl.heatflow, frbl.instances\n"
+            "assert dict(os.environ) == before\n")
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_all_is_unique_and_resolves():
