@@ -113,8 +113,8 @@ def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None
     weight ``M`` is orthogonal, so ``mu / (1 + 4 t mu)`` are the new form's
     eigenvalues and its positive definiteness check needs no second solve.
     """
-    if t <= 0:
-        raise ValueError("evolution time must be positive")
+    if not t > 0:
+        raise ValueError(f"evolution time must be positive, got {t}")
     b = g.form.mat
     if a_weight is None:
         mu, m = np.linalg.eigh(b)

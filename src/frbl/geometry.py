@@ -227,8 +227,9 @@ def find_sigma(
     and the search then stops with status ``infeasible`` and ``Y`` as the
     separator.  The eigenvalues of ``Y`` are computed only when
     ``<X_aff, Y> < 0``.  The test fires when the cone and the subspace lie
-    at positive distance; weakly infeasible data (distance zero, no common
-    point) still end in ``max-iter`` with the final residuals.
+    at positive distance, as they do whenever they do not meet: every point
+    of the subspace has trace ``dim_in``, so no datum is weakly infeasible,
+    and ``max-iter`` with the final residuals only means the budget ran out.
     """
     eye = np.eye(datum.layout.dim_in)
     r_in, r_out = marginal_residuals(datum, eye)
@@ -323,7 +324,7 @@ def check_geometric(
     :func:`find_sigma` returns a separator ``Y`` with
     ``<X_aff, Y> + |Y_perp| (dim_in + |X_aff|) < lambda_min(Y) dim_in``,
     and ``sigma-not-found`` when the affine subspace is empty or the budget
-    runs out (weakly infeasible data end there too).  ``iterations == 0``
+    runs out, which is a budget outcome only.  ``iterations == 0``
     with a ``sigma`` means the identity start already met ``tol``; with the
     residuals NaN it means the Loewner test failed.
     """

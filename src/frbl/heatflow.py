@@ -124,25 +124,17 @@ class GridFunction:
     def nodes(self) -> np.ndarray:
         return _mesh(self.axes())
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask of points inside the (closed) grid box."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        lo, hi = np.array(self.lo), np.array(self.hi)
-        eps = _BOUND_EPS * (hi - lo)
-        return np.all((pts >= lo - eps) & (pts <= hi + eps), axis=1)
-
     def interpolate(self, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation at points of shape ``(N, dim)``.
-
-        Points outside the grid box raise; callers that need to skip
-        exterior points mask with :meth:`contains` first.
-        """
+        """Multilinear interpolation at points of shape ``(N, dim)``; a point
+        outside the eps-widened box of :meth:`_Stencil.inside` raises."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[1]}, grid has dim {self.dim}")
-        if not np.all(self.contains(pts)):
-            raise ValueError("interpolation point outside the grid box")
         stencil = _Stencil(self, len(pts))
+        mask, flag = np.ones((2, len(pts)), dtype=bool)
+        stencil.inside(pts, mask, flag)
+        if not mask.all():
+            raise ValueError("interpolation point outside the grid box")
         out, scratch = np.empty((2, len(pts)))
         stencil.fill(pts, scratch)
         return stencil.apply(self.values, out, scratch)
@@ -159,7 +151,7 @@ class _Stencil:
     def __init__(self, grid: GridFunction, size: int):
         self.lo, self.h, self.n = grid.lo, grid.spacing, grid.n
         eps = [_BOUND_EPS * (b - a) for a, b in zip(grid.lo, grid.hi)]
-        # the box of GridFunction.contains: the closed grid box widened by eps
+        # the closed grid box widened by eps on every side
         self.bounds = [(a - e, b + e) for a, b, e in zip(grid.lo, grid.hi, eps)]
         self.base = np.empty(size, dtype=np.intp)
         self.weights = np.empty((grid.dim, 2, size))
@@ -274,8 +266,8 @@ def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
     convolved with the full 2-D kernel.  FFT rounding can leave values a
     hair below zero; they are clipped to zero once, at the end.
     """
-    if t <= 0:
-        raise ValueError("evolution time must be positive")
+    if not t > 0:
+        raise ValueError(f"evolution time must be positive, got {t}")
     if a_weight is None:
         w, lam_max = np.eye(f.dim), 1.0
     else:
@@ -473,11 +465,9 @@ def _walk(datum: FrblDatum, g_grids, axes, scan) -> list:
         return scan(nodes, row, ws) if len(nodes) else None
 
     def run(thread):
-        # every other chunk; a failure stops the later chunks of both threads,
-        # and the first failing chunk's exception is raised after the join
+        # every other chunk up to this thread's first failure; the exception
+        # of the first failing chunk in order is raised after the join
         for i in range(thread, len(starts), len(spaces)):
-            if any(j < i for j, _ in errors):
-                return
             try:
                 results[i] = chunk(spaces[thread], starts[i])
             except BaseException as exc:
@@ -536,8 +526,8 @@ def verify_preservation(
     The factors are evolved first; each time keeps its f powers and g grids.
     The nodes are then walked once by :func:`_walk`, on two threads where
     two CPUs are available, and a chunk's f side is the broadcast product of
-    the powers at its rows.  The chunks' minima, maxima, flags, time-zero
-    violations and fields are merged in chunk order, so the result does not
+    the powers at its rows.  The chunks' minima, maxima, time-zero violations
+    and fields are merged as arrays in chunk order, so the result does not
     depend on the thread count.  The interior mask does not depend on time,
     so ``nodes_evaluated`` is one count for all times.  Working memory is
     the walk's plus those powers and grids (traced peaks: the 401^2
@@ -548,8 +538,8 @@ def verify_preservation(
     """
     _check_flow_inputs(datum, f_grids, g_grids)
     times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise ValueError("times must be nonnegative")
+    if any(not (time := t) >= 0 for t in times):
+        raise ValueError(f"times must be nonnegative, got {time}")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
 
@@ -573,9 +563,8 @@ def verify_preservation(
     def scan(nodes, row, ws):
         # per state the g maximum, then the time-zero candidates (filtered
         # against this chunk's threshold, which the final one can only
-        # exceed) or per time the first minimum, its node, the finite flag
-        # and the field
-        tops, per_time = [], []
+        # exceed) or per time the first minimum, its node and the field
+        tops, least, where, fields = [], [], [], []
         for s, (fp, gt) in enumerate(states):
             defect = ws.g_side(gt, datum.d, shift)
             tops.append(defect.max())
@@ -585,56 +574,41 @@ def verify_preservation(
                 candidates = nodes[low], defect[low]
                 continue
             i_min = int(np.argmin(defect))
-            # argmin finds the first NaN and -inf; a +inf defect needs a +inf g side
-            finite = bool(np.isfinite(defect[i_min]) and np.isfinite(tops[-1]))
-            per_time.append((float(defect[i_min]), tuple(float(x) for x in nodes[i_min]), finite,
-                             np.column_stack([nodes, defect]) if collect_fields else None))
-        return len(nodes), tops, candidates, per_time
+            least.append(float(defect[i_min]))
+            where.append(tuple(float(x) for x in nodes[i_min]))
+            fields.append(np.column_stack([nodes, defect]) if collect_fields else None)
+        return len(nodes), tops, candidates, least, where, fields
 
-    n_nodes = 0
-    g_max = [-math.inf] * len(states)
-    low_nodes, low_defects = [], []  # time-zero candidates for the precondition
-    min_defects = [math.inf] * len(scanned)
-    argmins = [None] * len(scanned)
-    finite = [True] * len(scanned)
-    fields = [[] for _ in scanned]
     axes = [ax for fg in f_grids for ax in fg.axes()]
-    for result in _walk(datum, g_grids, axes, scan):
-        if result is None:
-            continue
-        count, tops, (nodes, defects), per_time = result
-        n_nodes += count
-        g_max = [np.maximum(g, top) for g, top in zip(g_max, tops)]
-        low_nodes.append(nodes)
-        low_defects.append(defects)
-        for k, (least, node, ok, field) in enumerate(per_time):
-            finite[k] = finite[k] and ok
-            if least < min_defects[k]:  # strict: the first minimum wins
-                min_defects[k], argmins[k] = least, node
-            fields[k].append(field)
-
-    if n_nodes == 0:
+    chunks = [result for result in _walk(datum, g_grids, axes, scan) if result is not None]
+    if not chunks:
         raise ValueError("no scan node projects inside every g grid; widen the g grids")
+    counts, tops, lows, least, where, fields = zip(*chunks)
+    # chunks x states and chunks x times; a NaN or -inf defect is its chunk's
+    # first minimum, and a +inf one needs a +inf g maximum
+    g_max, least = np.max(tops, axis=0), np.array(least)
     threshold0 = tol * (1.0 + float(g_max[0]))
-    low_nodes, low_defects = np.concatenate(low_nodes), np.concatenate(low_defects)
+    low_nodes, low_defects = (np.concatenate(part) for part in zip(*lows))
     bad = low_defects < -threshold0
     if bad.any():
         raise PreservationPreconditionError(
             [(tuple(x), float(d)) for x, d in zip(low_nodes[bad], low_defects[bad])]
         )
-    for t, ok in zip(scanned, finite):
+    for t, ok in zip(scanned, np.isfinite(least).all(axis=0) & np.isfinite(g_max[1:])):
         if not ok:
             raise ValueError(f"non-finite defect values at t={t}")
     if heat_error is not None:
         raise heat_error
 
+    first = list(enumerate(np.argmin(least, axis=0)))  # the first minimum in chunk order
+    min_defects = tuple(float(least[c, k]) for k, c in first)
     thresholds = tuple(tol * (1.0 + float(g)) for g in g_max[1:])
     return DefectField(
-        times=tuple(times), min_defect=tuple(min_defects), argmin=tuple(argmins),
-        thresholds=thresholds, nodes_evaluated=n_nodes,
+        times=tuple(times), min_defect=min_defects, argmin=tuple(where[c][k] for k, c in first),
+        thresholds=thresholds, nodes_evaluated=sum(counts),
         holds=all(md >= -th for md, th in zip(min_defects, thresholds)),
         dim=datum.layout.dim_in,
-        fields=tuple(np.concatenate(f) for f in fields) if collect_fields else None,
+        fields=tuple(map(np.concatenate, zip(*fields))) if collect_fields else None,
     )
 
 

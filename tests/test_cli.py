@@ -1,6 +1,8 @@
 import csv
+import functools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -805,6 +807,18 @@ class TestContract:
         _assert_one_error_line(captured)
         assert message in captured.err
 
+    @pytest.mark.parametrize("times", ["nan", "0.1,nan"])
+    @pytest.mark.parametrize("command", ["flow-verify", "flow-monotone"])
+    def test_nan_times_are_input_errors(self, command, times, pl_file, tmp_path, capsys):
+        line = tmp_path / "line.json"
+        line.write_text(json.dumps(datum_to_json(holder([1.0]))))
+        datum, message = {"flow-verify": (pl_file, "times must be nonnegative, got nan"),
+                          "flow-monotone": (str(line), "must be positive, got nan")}[command]
+        assert main([command, datum, grids_file(tmp_path), f"--times={times}"]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert message in captured.err
+
     def test_flow_verify_caps_the_input_sum_at_three_axes(self, tmp_path, capsys):
         datum, grids = tmp_path / "four.json", tmp_path / "g.json"
         datum.write_text(json.dumps({"in_dims": [1] * 4, "out_dims": [1], "c": [0.25] * 4,
@@ -951,3 +965,53 @@ class TestContract:
         grids = grids_file(tmp_path)
         assert main(["flow-verify", pl_file, grids, "--times", "1e4"]) == 2
         assert "truncation radius" in capsys.readouterr().err
+
+
+# Each is put in place of every key of every input file in turn.
+_FUZZ_VALUES = [None, [], {}, "x", -1, 0, 1e300, -1e300, [[]], [None], [1e308, -1e308], [0],
+                [1, 2, 3]]
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", ["check", "sigma", "gaussian relation", "gaussian ratio",
+                                         "gaussian extremizer", "gaussian geometrize",
+                                         "flow-verify", "flow-monotone"])
+    def test_every_key_keeps_the_exit_contract(self, command, tmp_path, capsys):
+        # every run exits 0, 1 or 2 without a traceback, a run that exits 2
+        # prints one error line alone, and a JSON report is strict JSON
+        axis = np.linspace(-3.0, 3.0, 13)
+        grid = grid_to_json(GridFunction([-3.0], [3.0], [13], np.exp(-axis**2)))
+        gaussian = {"log_prefactor": 0.0, "form": [[1.0]]}
+        name, *op = command.split()
+        inputs = {"datum": datum_to_json(holder([1.0]) if name == "flow-monotone"
+                                         else prekopa_leindler(0.5))}
+        if name == "gaussian":
+            inputs["tuple"] = {"f": [gaussian, gaussian], "g": [gaussian]}
+        elif name == "flow-verify":
+            inputs["grids"] = {"f": [grid, grid], "g": [grid]}
+        elif name == "flow-monotone":
+            inputs["grids"] = {"g": [grid]}
+        paths = {key: tmp_path / f"{key}.json" for key in inputs}
+        argv = [name, *map(str, paths.values()), *(["--op", *op] if op else [])]
+        for key, path in paths.items():
+            path.write_text(json.dumps(inputs[key]))
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        for key, base in inputs.items():
+            # the file's own keys, and those of the first grid or Gaussian of a list
+            entries = [(k,) for k in base] + [(k, 0, sub) for k, v in base.items()
+                                              if isinstance(v[0], dict) for sub in v[0]]
+            for *parents, last in entries:
+                for value in _FUZZ_VALUES:
+                    obj = json.loads(json.dumps(base))
+                    functools.reduce(operator.getitem, parents, obj)[last] = value
+                    paths[key].write_text(json.dumps(obj))
+                    rc = main(argv)
+                    out, err = capsys.readouterr()
+                    where = (key, *parents, last, value, out, err)
+                    assert rc in (0, 1, 2), where
+                    if rc == 2:
+                        assert out == "" and err.startswith("error:") and err.count("\n") == 1, where
+                    elif name in ("check", "sigma", "gaussian"):
+                        json.loads(out, parse_constant=_reject_constant)
+            paths[key].write_text(json.dumps(base))

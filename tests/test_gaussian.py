@@ -131,6 +131,11 @@ class TestHeatEvolve:
             quad = heat_quadrature_2d(form.mat, 0.2, weight.mat, t, x)
             assert math.exp(ev.log_value(x)) == pytest.approx(quad, rel=1e-6)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_time_that_is_not_positive_is_named(self, t):
+        with pytest.raises(ValueError, match=f"must be positive, got {t}"):
+            heat_evolve(standard_gaussian(1), t)
+
     def test_small_time_continuity(self):
         g = CenteredGaussian(SymMatrix([[1.5, 0.2], [0.2, 0.8]]), 0.3)
         ev = heat_evolve(g, 1e-10)

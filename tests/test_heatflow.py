@@ -95,8 +95,8 @@ class TestGridFunction:
         edge = np.where(rng.random((200, dim)) < 0.5, lo, hi)
         band = edge + rng.uniform(-1.0, 1.0, (200, dim)) * eps
         pts = np.concatenate([rng.uniform(lo, hi, (200, dim)), band, [lo - 0.9 * eps, hi + 0.9 * eps]])
-        assert g.contains(pts).all() and not ((pts >= lo) & (pts <= hi)).all()
-        got = g.interpolate(pts)
+        assert not ((pts >= lo) & (pts <= hi)).all()
+        got = g.interpolate(pts)  # reads every point: each lies in the eps band or inside
         np.testing.assert_array_equal(got, dense_interpolate(g, pts))
         assert (got == 0.0).sum() > 50 and not np.signbit(got).any()
 
@@ -104,6 +104,14 @@ class TestGridFunction:
         g = GridFunction([0.0], [1.0], [2], np.zeros(2))
         with pytest.raises(ValueError, match="outside"):
             g.interpolate([[1.5]])
+        # the eps band of the scan, scaled by the axis extent (8 here)
+        g = GridFunction([-2.0], [6.0], [5], np.ones(5))
+        band = heatflow._BOUND_EPS * 8.0
+        np.testing.assert_array_equal(g.interpolate([[6.0 + 0.9 * band], [-2.0 - 0.9 * band]]),
+                                      [1.0, 1.0])
+        for x in (6.0 + 1.1 * band, -2.0 - 1.1 * band):
+            with pytest.raises(ValueError, match="outside"):
+                g.interpolate([[x]])
 
     def test_json_roundtrip(self):
         g = sample_grid(
@@ -215,6 +223,8 @@ class TestHeatStep:
         g = gaussian_grid()
         with pytest.raises(ValueError, match="positive"):
             heat_step(g, 0.0, I1)
+        with pytest.raises(ValueError, match="must be positive, got nan"):
+            heat_step(g, math.nan)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("diag", [(1.0, 1.0), (1.2, 0.8)])
@@ -414,7 +424,7 @@ class TestMonotoneFunctional:
         # corners of the default box must project inside every grid
         corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
         for j in range(3):
-            assert grids[j].contains(corners @ datum.out_row(j).T).all()
+            grids[j].interpolate(corners @ datum.out_row(j).T)  # raises outside the grid box
 
     def test_matches_interpolation_reference_bit_for_bit(self):
         datum = young_frame()
@@ -780,6 +790,36 @@ class TestTwoThreadScan:
         chunks = {np.searchsorted(axis, x[0]) * len(axis) + np.searchsorted(axis, x[1])
                   for x in points}
         assert {c % 2 for c in chunks} == {0, 1}
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_first_failing_chunk_is_raised(self, cpus, monkeypatch):
+        # chunk 3 (the worker's on two CPUs) and chunk 4 (the caller's) fail
+        # with different errors; each thread stops at its own first failure
+        inputs = _integer_plane(prekopa_leindler(0.5), np.full(9, 0.25), np.full(9, 0.25),
+                                np.ones(33))
+        failures = {3: ZeroDivisionError("chunk 3"), 4: OverflowError("chunk 4")}
+        ran = []
+        g_side = heatflow._Workspace.g_side
+
+        def spy(ws, *args):
+            chunk = int(ws.nodes[0, 0]) + 4  # chunk i is the row x1 = i - 4
+            ran.append((chunk, threading.get_ident()))
+            if chunk in failures:
+                raise failures[chunk]
+            return g_side(ws, *args)
+
+        _use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(heatflow._Workspace, "g_side", spy)
+        threads = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="chunk 3"):
+            verify_preservation(*inputs, [0.0, 0.1])
+        assert threading.active_count() == threads  # the worker joined
+        caller = {chunk for chunk, ident in ran if ident == threading.get_ident()}
+        worker = {chunk for chunk, ident in ran if ident != threading.get_ident()}
+        if cpus == 2:
+            assert (caller, worker) == ({0, 2, 4}, {1, 3})
+        else:
+            assert (caller, worker) == ({0, 1, 2, 3}, set())
 
     def test_traced_names_run_on_the_calling_thread_only(self, monkeypatch):
         calls = []
