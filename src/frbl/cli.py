@@ -8,8 +8,11 @@ monotone functional).
 
 Exit codes are stable across commands: 0 when the checked property holds
 (or the computation succeeded for pure computations), 1 when the property
-fails, 2 on invalid input, including a datum whose magnitudes overflow
-double precision and a ``--max-iter`` or ``--seed`` outside ``[0, 2**64)``.
+fails, 2 on invalid input: a datum, tuple or grid whose magnitudes overflow
+double precision in any command (the flow commands' scans included), a
+``--max-iter`` or ``--seed`` outside ``[0, 2**64)``, or an ``--out`` or
+``--fields-dir`` that cannot be written.  :func:`main` alone turns an
+exception into exit 2.
 orjson is the JSON codec both ways.  Inputs are strict RFC 8259 JSON:
 ``NaN``, ``Infinity`` and numbers beyond double range are unreadable, as
 is nesting deeper than :data:`MAX_JSON_DEPTH`.  Reports are strict JSON
@@ -54,18 +57,15 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-class InputError(Exception):
-    """Any problem with user-supplied files or parameters (exit code 2)."""
-
 
 @contextlib.contextmanager
-def _input_errors(prefix: str = "", kinds=(ValueError,)):
-    """Turn an exception of the ``kinds`` raised inside the block into an
-    :class:`InputError` whose message is ``prefix`` followed by its own."""
+def _input_errors(prefix: str, kinds=(ValueError,)):
+    """Turn an exception of the ``kinds`` raised inside the block into a
+    ValueError whose message is ``prefix`` followed by its own."""
     try:
         yield
     except kinds as exc:
-        raise InputError(f"{prefix}{exc}") from exc
+        raise ValueError(f"{prefix}{exc}") from exc
 
 
 # No input format nests deeper than six levels.  orjson recurses on the C
@@ -133,7 +133,8 @@ def _load_grids(path: str, need_f: bool = True):
 def _write(out: str | None, write) -> None:
     """``write(stream)`` into the file ``out``, or to stdout without one."""
     if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
+        with _input_errors(f"cannot write {out}: ", (OSError,)), \
+                open(out, "w", newline="", encoding="utf-8") as fh:
             write(fh)
     else:
         write(sys.stdout)
@@ -157,12 +158,11 @@ def _parse_numbers(text: str, what: str, kind=float) -> list:
 def _cmd_gen(args) -> int:
     if args.name == "custom":
         if args.path is None:
-            raise InputError("custom needs a path to a datum JSON file")
+            raise ValueError("custom needs a path to a datum JSON file")
         datum = _load_datum(args.path)
     else:
         weights = _parse_numbers(args.weights, "--weights") if args.weights else None
-        with _input_errors():
-            datum = generate(args.name, lam=args.lam, weights=weights, dim=args.dim)
+        datum = generate(args.name, lam=args.lam, weights=weights, dim=args.dim)
     _emit(datum_to_json(datum), args.out)
     return EXIT_OK
 
@@ -173,35 +173,27 @@ def _check_options(args) -> None:
     ``--max-iter`` and ``--seed``, and orjson writes integers in 64 bits."""
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise InputError(f"--tol must be finite and non-negative, got {tol}")
+        raise ValueError(f"--tol must be finite and non-negative, got {tol}")
     if not math.isfinite(getattr(args, "assert_monotone", None) or 0.0):
-        raise InputError(f"--assert-monotone must be finite, got {args.assert_monotone}")
+        raise ValueError(f"--assert-monotone must be finite, got {args.assert_monotone}")
     for name in ("max_iter", "seed"):
         value = getattr(args, name, 0)
         if not 0 <= value < 2**64:
-            raise InputError(f"--{name.replace('_', '-')} must be in [0, 2**64), got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be in [0, 2**64), got {value}")
     if getattr(args, "samples", 1) < 1:
-        raise InputError("--samples must be at least 1")
-
-
-def _in_range(fn, datum, **kwargs):
-    """Run a certification or Gaussian step; input whose magnitudes overflow
-    double precision on the way is an input error, not a verdict."""
-    kinds = (FloatingPointError, ValueError, np.linalg.LinAlgError)
-    with _input_errors("input out of numerical range: ", kinds), np.errstate(over="raise"):
-        return fn(datum, **kwargs)
+        raise ValueError("--samples must be at least 1")
 
 
 def _cmd_check(args) -> int:
     datum = _load_datum(args.datum)
-    cert = _in_range(check_geometric, datum, tol=args.tol, max_iter=args.max_iter)
+    cert = check_geometric(datum, tol=args.tol, max_iter=args.max_iter)
     _emit({"tol": args.tol, "max_iter": args.max_iter, **cert.to_json()}, args.out)
     return EXIT_OK if cert.verdict == "geometric" else EXIT_FAIL
 
 
 def _cmd_sigma(args) -> int:
     datum = _load_datum(args.datum)
-    result = _in_range(find_sigma, datum, tol=args.tol, max_iter=args.max_iter)
+    result = find_sigma(datum, tol=args.tol, max_iter=args.max_iter)
     _emit({"tol": args.tol, "max_iter": args.max_iter, **result.to_json()}, args.out)
     return EXIT_OK if result.status == "found" else EXIT_FAIL
 
@@ -209,12 +201,7 @@ def _cmd_sigma(args) -> int:
 def _cmd_gaussian(args) -> int:
     datum = _load_datum(args.datum)
     tup = _load(args.tuple, "Gaussian tuple", gc.tuple_from_json)
-    with _input_errors():
-        tup.check_layout(datum)
-    return _in_range(_gaussian_op, datum, tup=tup, args=args)
-
-
-def _gaussian_op(datum, tup, args) -> int:
+    tup.check_layout(datum)
     if args.op == "relation":
         rel = gc.relation_check(datum, tup, tol=args.tol)
         _emit({"tol": args.tol, **asdict(rel)}, args.out)
@@ -231,18 +218,16 @@ def _gaussian_op(datum, tup, args) -> int:
     if args.op == "extremizer":
         # drawn only if extremizer_check finds the datum not geometric
         families = gc.sample_families(datum, np.random.default_rng(args.seed), args.samples)
-        with _input_errors():
-            verdict = gc.extremizer_check(datum, tup, tol=args.tol, comparison=families)
+        verdict = gc.extremizer_check(datum, tup, tol=args.tol, comparison=families)
         _emit({"tol": args.tol, "seed": args.seed, **asdict(verdict)}, args.out)
         return EXIT_OK if verdict.is_extremizer else EXIT_FAIL
 
     # geometrize: the tuple's form matrices are taken as the heat weights
-    with _input_errors():
-        transform, transformed, cert = gc.geometrize_from_extremizers(
-            datum,
-            [g.form for g in tup.f],
-            [g.form for g in tup.g],
-        )
+    transform, transformed, cert = gc.geometrize_from_extremizers(
+        datum,
+        [g.form for g in tup.f],
+        [g.form for g in tup.g],
+    )
     _emit({"transform": transform_to_json(transform),
            "datum": datum_to_json(transformed),
            "certificate": cert.to_json()}, args.out)
@@ -260,14 +245,13 @@ def _cmd_flow_verify(args) -> int:
     except hf.PreservationPreconditionError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _write_csv(field.csv_rows(), args.out)
-    if args.fields_dir is not None:
-        os.makedirs(args.fields_dir, exist_ok=True)
+    if args.fields_dir is not None:  # first, so a write that fails leaves stdout empty
+        with _input_errors(f"cannot write {args.fields_dir}: ", (OSError,)):
+            os.makedirs(args.fields_dir, exist_ok=True)
         for t, data in zip(field.times, field.fields):
             rows = [[*field.columns("x"), "defect"]] + data.tolist()
             _write_csv(rows, os.path.join(args.fields_dir, f"defect_t{t:g}.csv"))
+    _write_csv(field.csv_rows(), args.out)
     print(f"verdict: {'holds' if field.holds else 'fails'} (tol={args.tol}, "
           f"nodes={field.nodes_evaluated} of {math.prod(fg.values.size for fg in f_grids)})",
           file=sys.stderr)
@@ -281,11 +265,10 @@ def _cmd_flow_monotone(args) -> int:
     box = None
     if args.box_lo or args.box_hi or args.box_n:
         if not (args.box_lo and args.box_hi and args.box_n):
-            raise InputError("--box-lo, --box-hi and --box-n must be given together")
+            raise ValueError("--box-lo, --box-hi and --box-n must be given together")
         box = (_parse_numbers(args.box_lo, "--box-lo"), _parse_numbers(args.box_hi, "--box-hi"),
                _parse_numbers(args.box_n, "--box-n", int))
-    with _input_errors():
-        series = hf.monotone_functional(datum, g_grids, times, box=box)
+    series = hf.monotone_functional(datum, g_grids, times, box=box)
     _write_csv([["t", "Q"]] + [[t, q] for t, q in series], args.out)
     if args.assert_monotone is not None:
         slack = args.assert_monotone
@@ -370,11 +353,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_options(args)
-        return args.func(args)
-    except InputError as exc:
+        # input whose magnitudes overflow double precision on the way is an
+        # input error, not a verdict; the scan's worker thread inherits the state
+        with np.errstate(over="raise"):
+            _check_options(args)
+            return args.func(args)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"error: input out of numerical range: {exc}", file=sys.stderr)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    return EXIT_INPUT
 
 
 def entrypoint() -> None:

@@ -76,11 +76,6 @@ def _axes(lo, hi, n) -> list[np.ndarray]:
     return [np.linspace(a, b, cnt) for a, b, cnt in zip(lo, hi, n)]
 
 
-def _mesh(axes) -> np.ndarray:
-    """The nodes of the product of 1-D axes as an ``(N, dim)`` array, last axis fastest."""
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Nonnegative samples on a uniform rectangular grid (1 or 2 axes)."""
@@ -120,9 +115,6 @@ class GridFunction:
 
     def axes(self) -> list[np.ndarray]:
         return _axes(self.lo, self.hi, self.n)
-
-    def nodes(self) -> np.ndarray:
-        return _mesh(self.axes())
 
     def interpolate(self, pts: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at points of shape ``(N, dim)``; a point
@@ -681,8 +673,8 @@ def _log_evolved_at_origin(grid: GridFunction, t: float) -> float:
     A single quadrature against ``exp(-|x|^2 / 4t)`` over the grid support,
     so no output-grid truncation is involved and arbitrarily large times work.
     """
-    quad = np.sum(grid.nodes() ** 2, axis=1)
-    val = float(np.sum(grid.values.ravel() * np.exp(-quad / (4.0 * t)))) * grid.cell_volume
+    quad = reduce(np.add.outer, [ax**2 for ax in grid.axes()])
+    val = float(np.sum(grid.values * np.exp(-quad / (4.0 * t)))) * grid.cell_volume
     if val <= 0.0:
         raise ValueError("evolved value underflowed at the origin")
     return math.log(val)
@@ -698,8 +690,8 @@ def extract_constant(datum: FrblDatum, f_grids, g_grids, t_large: float) -> floa
     Accumulation is in log space.
     """
     _check_flow_inputs(datum, f_grids, g_grids)
-    if t_large <= 0:
-        raise ValueError("t_large must be positive")
+    if not t_large > 0:
+        raise ValueError(f"t_large must be positive, got {t_large}")
     log_ratio = sum(
         sign * float(w) * _log_evolved_at_origin(grid, t_large)
         for sign, weights, grids in ((1.0, datum.c, f_grids), (-1.0, datum.d, g_grids))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import frbl
-from frbl import cli
+from frbl import cli, heatflow
 from frbl.cli import main
 from frbl.datum import datum_to_json, validate_datum
 from frbl.heatflow import MAX_BOX_AXIS, GridFunction, grid_to_json
@@ -807,6 +807,28 @@ class TestContract:
         _assert_one_error_line(captured)
         assert message in captured.err
 
+    @pytest.mark.parametrize("case", ["check missing-parent", "check directory",
+                                      "flow-verify missing-parent", "flow-verify directory",
+                                      "flow-verify fields-dir", "flow-verify field-file"])
+    def test_unwritable_outputs_are_input_errors(self, case, pl_file, tmp_path, capsys):
+        command, where = case.split()
+        (tmp_path / "file").write_text("")
+        option, path = {
+            "missing-parent": ("--out", tmp_path / "missing" / "out.json"),
+            "directory": ("--out", tmp_path),
+            "fields-dir": ("--fields-dir", tmp_path / "file" / "fields"),
+            "field-file": ("--fields-dir", tmp_path / "fields" / "defect_t0.1.csv"),
+        }[where]
+        value = path
+        if where == "field-file":  # the first field file's name is taken by a directory
+            path.mkdir(parents=True)
+            value = path.parent
+        files = [pl_file] if command == "check" else [pl_file, grids_file(tmp_path)]
+        assert main([command, *files, option, str(value)]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+
     @pytest.mark.parametrize("times", ["nan", "0.1,nan"])
     @pytest.mark.parametrize("command", ["flow-verify", "flow-monotone"])
     def test_nan_times_are_input_errors(self, command, times, pl_file, tmp_path, capsys):
@@ -872,6 +894,52 @@ class TestContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("case", ["flow-verify", "flow-verify worker", "flow-monotone",
+                                      "flow-monotone worker"])
+    def test_overflow_in_the_scan_is_input_error(self, case, cpus, tmp_path, monkeypatch,
+                                                  capsys):
+        # Each "worker" case overflows in chunk 1 alone (one row per chunk),
+        # which on two CPUs is the worker thread's; the flow-verify case
+        # without it exited 0 with a verdict and the flow-monotone one printed
+        # Q = inf.
+        command, *worker = case.split()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+        def grid(lo, hi, n, fn):
+            xs = np.linspace(lo, hi, n)
+            return grid_to_json(GridFunction([lo], [hi], [n], fn(xs)))
+
+        datum, grids = tmp_path / "datum.json", tmp_path / "grids.json"
+        if command == "flow-verify":
+            datum.write_text(json.dumps({**datum_to_json(prekopa_leindler(0.5)),
+                                         "Q": [1e308, -1e308]}))
+            g = grid(-3.0, 3.0, 13, lambda x: np.exp(-x**2))
+            f = [g, g]
+            if worker:  # rows x1 = 0 and 3: the projection overflows in the second
+                f = [grid(0.0, 3.0, 2, lambda x: np.exp(-x**2)),
+                     grid(-1.5, 1.5, 13, lambda x: np.exp(-x**2))]
+                monkeypatch.setattr(heatflow, "SCAN_CHUNK", 13)
+            grids.write_text(json.dumps({"f": f, "g": [g]}))
+            argv, message = [], "overflow encountered in matmul"
+        else:
+            datum.write_text(json.dumps(datum_to_json(young_frame())))
+            g = grid(-15.0, 15.0, 601, lambda y: 1e200 * np.exp(-y**2 / 50))
+            argv = ["--times", "0,1"]
+            if worker:  # rows x1 = -1 and 1: the first g grid is 1e200 times larger at y >= 0
+                g0 = grid(-15.0, 15.0, 601, lambda y: np.where(y < 0, 1.0, 1e200)
+                          * np.exp(-y**2 / 50))
+                grids.write_text(json.dumps({"g": [g0, g, g]}))
+                argv = ["--times", "0", "--box-lo=-1,-1", "--box-hi=1,1", "--box-n", "2,3"]
+                monkeypatch.setattr(heatflow, "SCAN_CHUNK", 3)
+            else:
+                grids.write_text(json.dumps({"g": [g] * 3}))
+            message = "overflow encountered in multiply"
+        assert main([command, str(datum), str(grids), *argv]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert captured.err == f"error: input out of numerical range: {message}\n"
 
     @pytest.mark.parametrize("op", ["ratio", "relation"])
     def test_overflowing_prefactors_are_input_error(self, pl_file, tmp_path, op, capsys):

@@ -169,7 +169,7 @@ class TestHeatStep:
         )
         ev = heat_step(grid, t, weight)
         cg = heat_evolve(CenteredGaussian(form), t, weight)
-        nodes = grid.nodes()
+        nodes = np.stack([m.ravel() for m in np.meshgrid(*grid.axes(), indexing="ij")], axis=1)
         closed = np.exp(
             cg.log_prefactor - np.einsum("ni,ij,nj->n", nodes, cg.form.mat, nodes)
         ).reshape(grid.n)
@@ -531,6 +531,12 @@ class TestExtractConstant:
         zero = GridFunction(g.lo, g.hi, g.n, np.zeros(g.n))
         with pytest.raises(ValueError, match="underflow"):
             extract_constant(datum, [zero, g], [g], 1e3)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_time_that_is_not_positive_is_named(self, t):
+        g = gaussian_grid(n=101)
+        with pytest.raises(ValueError, match=f"must be positive, got {t}"):
+            extract_constant(prekopa_leindler(0.5), [g, g], [g], t)
 
 
 def line3_inputs(n=21, g_half=12.0, g_points=481):
