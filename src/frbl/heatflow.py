@@ -160,20 +160,27 @@ class _Stencil:
     def fill(self, pts: np.ndarray, scratch: np.ndarray) -> None:
         """The stencil at the in-box points ``pts``; ``scratch`` holds at
         least ``len(pts)`` floats.  The cell fraction is clamped to [0, 1],
-        so a point in the eps band outside the box takes the edge value."""
+        so a point in the eps band outside the box takes the edge value.
+
+        The flat index of the lowest corner is summed in ``scratch`` (exact:
+        it is an integer below the node count) and cast to ``base`` once; a
+        later axis's corner index is kept in its ``1 - u`` buffer until
+        that weight is due."""
         self.count = k = len(pts)
-        base, lower = self.base[:k], scratch[:k]
-        base.fill(0)
+        flat = scratch[:k]
         for ax, (w, u) in enumerate(self.weights[:, :, :k]):
+            lower = w if ax else flat
             np.subtract(pts[:, ax], self.lo[ax], out=u)
             u /= self.h[ax]
             np.floor(u, out=lower)
             np.clip(lower, 0, self.n[ax] - 2, out=lower)
             u -= lower
             np.clip(u, 0.0, 1.0, out=u)
+            if ax:
+                flat *= self.n[ax]
+                flat += lower
             np.subtract(1.0, u, out=w)
-            base *= self.n[ax]
-            np.add(base, lower, out=base, casting="unsafe")
+        np.copyto(self.base[:k], flat, casting="unsafe")
 
     def apply(self, values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """The interpolant of ``values`` (a grid of this box's shape) at the
@@ -229,15 +236,36 @@ def _convolve_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     same number of axes, cut to the centred window of ``x``'s shape.
 
     Real FFTs run only over the axes where the kernel is longer than one,
-    each zero-padded to a fast length at or above the full convolution
+    each zero-padded to a fast length ``L`` at or above the full convolution
     length, so nothing wraps around; the other axes broadcast.
+
+    A 2-D ``x`` with a kernel along one axis is convolved in blocks of
+    ``max(1, SCAN_CHUNK // L)`` lines of the other axis, each written into
+    one output array; with two CPUs or more :func:`_on_threads` gives a
+    worker thread every other block.  The FFT of a line does not depend on
+    the lines beside it, so the output is bit for bit that of one FFT over
+    the whole array, on one thread or two, and the temporaries are a
+    block's, not the padded array's.
     """
     axes = [ax for ax, k in enumerate(kernel.shape) if k > 1]
     lengths = [_fast_len(x.shape[ax] + kernel.shape[ax] - 1) for ax in axes]
-    spectrum = np.fft.rfftn(x, lengths, axes) * np.fft.rfftn(kernel, lengths, axes)
-    full = np.fft.irfftn(spectrum, lengths, axes)
-    starts = [(k - 1) // 2 for k in kernel.shape]
-    return full[tuple(slice(s, s + n) for s, n in zip(starts, x.shape))]
+    kernel_spectrum = np.fft.rfftn(kernel, lengths, axes)
+    window = tuple(slice((k - 1) // 2, (k - 1) // 2 + n) for k, n in zip(kernel.shape, x.shape))
+    if len(axes) == x.ndim:
+        return np.fft.irfftn(np.fft.rfftn(x, lengths, axes) * kernel_spectrum, lengths, axes)[window]
+    (ax,), (length,) = axes, lengths
+    lines = max(1, SCAN_CHUNK // length)
+    out = np.empty(x.shape)
+
+    def block(i, thread):
+        # the window takes the whole other axis, so it cuts a block's output too
+        at = (slice(None),) * (1 - ax) + (slice(i * lines, (i + 1) * lines),)
+        spectrum = np.fft.rfft(x[at], length, ax) * kernel_spectrum
+        out[at] = np.fft.irfft(spectrum, length, ax)[window]
+
+    count = -(-x.shape[1 - ax] // lines)
+    _on_threads(block, count, min(_threads(), count))
+    return out
 
 
 def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
@@ -257,6 +285,11 @@ def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
     axis by axis with one zero-padded real FFT each; any other weight is
     convolved with the full 2-D kernel.  FFT rounding can leave values a
     hair below zero; they are clipped to zero once, at the end.
+
+    On a 2-D grid each axis is convolved in blocks of lines, every other
+    block on a worker thread where two CPUs are available, with the same
+    bits as on one (:func:`_convolve_same`); this function itself, and so
+    every name a tracer may wrap, runs on the calling thread.
     """
     if not t > 0:
         raise ValueError(f"evolution time must be positive, got {t}")
@@ -388,7 +421,7 @@ class _Workspace:
         side = None
         for gg, st, dj in zip(g_grids, self.stencils, d):
             part = st.apply(gg.values, self.part if side is not None else self.side, self.scratch)
-            part += shift
+            part += shift  # also with shift 0: it turns an input's -0.0 into 0.0
             if dj != 1.0:  # x ** 1.0 is x
                 part **= float(dj)
             side = part if side is None else imul(side, part)
@@ -415,9 +448,40 @@ class _Workspace:
 
 
 def _threads() -> int:
-    """Two threads for a grid walk where the process may run on two CPUs or
-    more, else one."""
+    """Two threads for a grid walk or a heat step where the process may run
+    on two CPUs or more, else one."""
     return 2 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else 1
+
+
+def _on_threads(task, count: int, threads: int) -> list:
+    """``[task(i, thread) for i in range(count)]`` on ``threads`` threads:
+    this one runs the indices ``0, threads, ...`` and a worker thread each
+    other residue class, up to its own first failure.  The workers join
+    before this returns; the exception of the lowest failing index is then
+    raised.  A worker runs in a copy of this thread's context, so numpy's
+    error state (``np.errstate``) is the same on every thread."""
+    results, errors = [None] * count, []
+
+    def run(thread):
+        for i in range(thread, count, threads):
+            try:
+                results[i] = task(i, thread)
+            except BaseException as exc:
+                errors.append((i, exc))
+                return
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, t))
+               for t in range(1, threads)]
+    for w in workers:
+        w.start()
+    try:
+        run(0)
+    finally:
+        for w in workers:
+            w.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
 
 
 def _walk(datum: FrblDatum, g_grids, axes, scan) -> list:
@@ -431,12 +495,13 @@ def _walk(datum: FrblDatum, g_grids, axes, scan) -> list:
     which serve every heat evolution of ``g_grids`` since evolution keeps
     each box.  ``scan`` returns ``None`` for a chunk without interior nodes.
 
-    With two CPUs or more, a worker thread takes every other chunk; each
-    thread works in its own workspace, which this thread allocates before the
-    walk, and the worker joins before the walk returns.  ``scan`` then runs
-    on both threads, so it must not call what a tracer may wrap, such as
-    :func:`heat_step` or :meth:`GridFunction.interpolate`.  Working memory is
-    a few dozen arrays of ``max(SCAN_CHUNK, n_last)`` nodes per thread."""
+    With two CPUs or more, :func:`_on_threads` gives a worker thread every
+    other chunk; each thread works in its own workspace, which this thread
+    allocates, with the last axis's coordinates written in once, before the
+    walk.  ``scan`` then runs on both threads, so it must not call what a
+    tracer may wrap, such as :func:`heat_step` or
+    :meth:`GridFunction.interpolate`.  Working memory is a few dozen arrays
+    of ``max(SCAN_CHUNK, n_last)`` nodes per thread."""
     shape = tuple(len(ax) for ax in axes)
     dim, n_rows = len(shape), math.prod(shape[:-1])
     step = max(1, SCAN_CHUNK // shape[-1])
@@ -444,42 +509,21 @@ def _walk(datum: FrblDatum, g_grids, axes, scan) -> list:
     rows_t = [datum.out_row(j).T for j in range(len(g_grids))]
     size = min(step, n_rows) * shape[-1]
     spaces = [_Workspace(size, dim, g_grids) for _ in range(min(_threads(), len(starts)))]
-    results, errors = [None] * len(starts), []
+    for ws in spaces:
+        ws.nodes.reshape(-1, shape[-1], dim)[..., -1] = axes[-1]
 
-    def chunk(ws, start):
+    def chunk(i, thread):
+        ws, start = spaces[thread], starts[i]
         rows = np.arange(start, min(start + step, n_rows))
         row = np.unravel_index(rows, shape[:-1]) if dim > 1 else ()
         count = len(rows) * shape[-1]
         grid = ws.nodes[:count].reshape(len(rows), shape[-1], dim)
-        for ax, coords in enumerate([*(c[i, None] for c, i in zip(axes, row)), axes[-1]]):
-            grid[..., ax] = coords
+        for ax, (coords, index) in enumerate(zip(axes, row)):
+            grid[..., ax] = coords[index, None]
         nodes = ws.interior(rows_t, count)
         return scan(nodes, row, ws) if len(nodes) else None
 
-    def run(thread):
-        # every other chunk up to this thread's first failure; the exception
-        # of the first failing chunk in order is raised after the join
-        for i in range(thread, len(starts), len(spaces)):
-            try:
-                results[i] = chunk(spaces[thread], starts[i])
-            except BaseException as exc:
-                errors.append((i, exc))
-                return
-
-    # the worker runs in a copy of this thread's context, so numpy's error
-    # state (np.errstate) is the same on both threads
-    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, t))
-               for t in range(1, len(spaces))]
-    for w in workers:
-        w.start()
-    try:
-        run(0)
-    finally:
-        for w in workers:
-            w.join()
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return results
+    return _on_threads(chunk, len(starts), len(spaces))
 
 
 def _sides_at_nodes(datum: FrblDatum, f_grids, g_grids, nodes, shift: float):
@@ -522,9 +566,9 @@ def verify_preservation(
     and fields are merged as arrays in chunk order, so the result does not
     depend on the thread count.  The interior mask does not depend on time,
     so ``nodes_evaluated`` is one count for all times.  Working memory is
-    the walk's plus those powers and grids (traced peaks: the 401^2
-    young-frame scan at three times near 15 MB, the 161^3 three-axis one
-    near 8 MB on two threads and 5 MB on one); only ``collect_fields``
+    the walk's plus those powers and grids (traced peaks, on two threads
+    and on one: the 401^2 young-frame scan at three times near 15 and
+    10 MB, the 161^3 three-axis one near 8 and 4 MB); only ``collect_fields``
     returns full-size data, one ``(nodes_evaluated, dim + 1)`` array per
     time.
     """
@@ -563,7 +607,7 @@ def verify_preservation(
             np.subtract(defect, ws.f_side(fp, row, factor_axes), out=defect)
             if s == 0:
                 low = np.less(defect, -tol * (1.0 + float(tops[0])), out=ws.flag[:len(nodes)])
-                candidates = nodes[low], defect[low]
+                candidates = (nodes[low], defect[low]) if low.any() else (nodes[:0], defect[:0])
                 continue
             i_min = int(np.argmin(defect))
             least.append(float(defect[i_min]))

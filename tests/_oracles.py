@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: closed-form 2x2
 eigenvalues from the characteristic polynomial, trapezoid quadrature of
-the heat convolution integral, the rectangle-rule mass of a grid, a
-multilinear interpolant written out corner by corner, a defect scan over
+the heat convolution integral, the rectangle-rule mass of a grid, a heat
+step by one whole-array FFT per axis, a multilinear interpolant written
+out corner by corner, a defect scan over
 the whole node set at once (it shares only the heat step with the
 library), and the sigma constraints built entry by entry, which re-check
 a separator from the datum alone, and the Gaussian tuple sampler,
@@ -13,6 +14,7 @@ last: a grid sampled from a function, the unit-form Gaussian and a family
 stacked from loose tuples.
 """
 
+import itertools
 import math
 from functools import reduce
 
@@ -112,6 +114,40 @@ def separator_verifies(datum, y) -> bool:
 def discrete_mass(grid) -> float:
     """Rectangle-rule mass ``cell_volume * sum(values)`` of a grid function."""
     return grid.cell_volume * float(np.sum(grid.values))
+
+
+def fft_convolve_same(x, kernel, ax: int) -> np.ndarray:
+    """``x`` convolved along axis ``ax`` with the odd-length 1-D ``kernel``,
+    cut to the centred window of ``x``'s shape: one zero-padded
+    ``np.fft.rfft``/``irfft`` pair over the whole array, padded to the
+    smallest 5-smooth length at or above the full convolution length."""
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    n, k = x.shape[ax], len(kernel)
+    length = next(m for m in itertools.count(n + k - 1) if smooth(m))
+    shape = [1] * x.ndim
+    shape[ax] = k
+    spectrum = np.fft.rfft(x, length, ax) * np.fft.rfft(kernel.reshape(shape), length, ax)
+    return np.take(np.fft.irfft(spectrum, length, ax), np.arange((k - 1) // 2, (k - 1) // 2 + n),
+                   axis=ax)
+
+
+def fft_heat_step(grid, t: float) -> np.ndarray:
+    """The identity-weight heat step of a grid's samples, axis by axis with
+    :func:`fft_convolve_same`: the kernel ``exp(-z^2 / 4t)`` at the offsets
+    within ``8 sqrt(2t)``, divided by its sum and then cut to the grid,
+    and negative rounding clipped to zero at the end."""
+    out = grid.values
+    for ax, (h, n) in enumerate(zip(grid.spacing, grid.n)):
+        reach = math.ceil(8.0 * math.sqrt(2.0 * t) / h)
+        cut = min(n - 1, reach)
+        kernel = np.exp(-((np.arange(-reach, reach + 1) * h) ** 2) / (4.0 * t))
+        out = fft_convolve_same(out, kernel[reach - cut:reach + cut + 1] / kernel.sum(), ax)
+    return np.clip(out, 0.0, None)
 
 
 def dense_interpolate(grid, pts) -> np.ndarray:

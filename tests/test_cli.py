@@ -410,6 +410,31 @@ class TestFlow:
         assert main(["flow-verify", pl_file, str(grids), "--times", "0.1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("values", [["1.5", "2"], [None, 1.0]])
+    def test_grid_values_must_be_numbers(self, values, pl_file, tmp_path, capsys):
+        grid = {"lo": [0.0], "hi": [1.0], "n": [2], "values": [1.0, 2.0]}
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"f": [grid, grid], "g": [{**grid, "values": values}]}))
+        assert main(["flow-verify", pl_file, str(grids)]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert "grid values must hold numbers only" in captured.err
+
+    def test_negative_zero_g_values_print_zero_defects(self, pl_file, tmp_path, capsys):
+        # -0.0 is not below zero, so a g grid may hold it; where f is 0 too,
+        # the defect at time 0 is 0.0, as the g side adds the shift also
+        # when it is 0 (-0.0 + 0.0 is 0.0)
+        f = {"lo": [-1.0], "hi": [1.0], "n": [5], "values": [0.0] * 5}
+        g = {"lo": [-2.0], "hi": [2.0], "n": [9], "values": [-0.0] * 9}
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"f": [f, f], "g": [g]}))
+        assert "-0.0" in grids.read_text()
+        fields = tmp_path / "fields"
+        assert main(["flow-verify", pl_file, str(grids), "--times", "0",
+                     "--fields-dir", str(fields)]) == 0
+        assert capsys.readouterr().out == "t,min_defect,argmin_x1,argmin_x2\r\n0.0,0.0,-1.0,-1.0\r\n"
+        assert "-0.0" not in (fields / "defect_t0.csv").read_text()
+
     def test_verify_fields_dir(self, pl_file, tmp_path, capsys):
         grids = grids_file(tmp_path)
         fields = tmp_path / "fields"

@@ -27,7 +27,7 @@ from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
 from _oracles import (_dense_sides, dense_interpolate, dense_verify_preservation, discrete_mass,
-                      sample_grid, standard_gaussian)
+                      fft_convolve_same, fft_heat_step, sample_grid, standard_gaussian)
 
 I1 = SymMatrix([[1.0]])
 
@@ -120,6 +120,37 @@ class TestGridFunction:
         back = grid_from_json(grid_to_json(g))
         np.testing.assert_array_equal(back.values, g.values)
         assert back.lo == g.lo and back.n == g.n
+
+    @pytest.mark.parametrize("values", [["1.5", "2"], [None, 1.0]])
+    def test_json_values_must_be_numbers(self, values):
+        # np.asarray(values, dtype=float) would read both as numbers, null as NaN
+        with pytest.raises(ValueError, match="must hold numbers only"):
+            grid_from_json({"lo": [0.0], "hi": [1.0], "n": [2], "values": values})
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stencil_base_is_the_flat_lower_corner(self, dim):
+        # random points, the top corner (in the last cell) and points 0.9
+        # eps-band widths outside each edge of each axis
+        lo, hi, n = np.array([-1.5, -2.0][:dim]), np.array([1.5, 1.0][:dim]), (1001, 997)[:dim]
+        grid = GridFunction(lo, hi, n, np.zeros(n))
+        eps = heatflow._BOUND_EPS * (hi - lo)
+        rng = np.random.default_rng(3)
+        pts = [rng.uniform(lo, hi, (500, dim)), [hi], [lo - 0.9 * eps], [hi + 0.9 * eps]]
+        for ax in range(dim):
+            for edge in (lo[ax] - 0.9 * eps[ax], hi[ax] + 0.9 * eps[ax]):
+                edge_pts = rng.uniform(lo, hi, (20, dim))
+                edge_pts[:, ax] = edge
+                pts.append(edge_pts)
+        pts = np.concatenate(pts)
+        stencil = heatflow._Stencil(grid, len(pts))
+        mask, flag = np.ones((2, len(pts)), dtype=bool)
+        stencil.inside(pts, mask, flag)
+        assert mask.all()
+        stencil.fill(pts, np.empty(len(pts)))
+        corner = np.clip(np.floor((pts - lo) / np.array(grid.spacing)), 0, np.array(n) - 2)
+        want = np.ravel_multi_index(tuple(corner.astype(int).T), n)
+        np.testing.assert_array_equal(stencil.base, want)
+        assert want[500] == np.ravel_multi_index(tuple(np.array(n) - 2), n)  # the last cell
 
 
 class TestHeatStep:
@@ -315,6 +346,92 @@ class TestHeatStep:
         kern /= kern.sum()
         direct = signal.convolve(g.values, kern, mode="same", method="direct")
         np.testing.assert_allclose(ev.values, np.clip(direct, 0, None), atol=1e-12)
+
+
+class TestHeatStepBlocks:
+    """A 2-D grid is convolved along each axis in blocks of lines of the
+    other axis, every other block on a worker thread where two CPUs are
+    available: bit for bit one whole-array FFT per axis, on one CPU or two.
+    ``SCAN_CHUNK`` is set to give 1, 2 or 3 blocks, or one block longer
+    than the grid ("short").  The module's ``np.empty`` returns NaN here, so
+    a block left unwritten shows."""
+
+    class _NanEmpty:
+        """numpy, but ``empty`` fills with NaN."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape):
+            return np.full(shape, np.nan)
+
+    @pytest.fixture(autouse=True)
+    def block_counts(self, monkeypatch):
+        monkeypatch.setattr(heatflow, "np", self._NanEmpty())
+        calls, on_threads = [], heatflow._on_threads
+
+        def spy(task, count, threads):
+            calls.append((count, threads))
+            return on_threads(task, count, threads)
+
+        monkeypatch.setattr(heatflow, "_on_threads", spy)
+        return calls
+
+    @staticmethod
+    def _set_lines(monkeypatch, length, n_lines, blocks):
+        lines = n_lines + 5 if blocks == "short" else -(-n_lines // blocks)
+        monkeypatch.setattr(heatflow, "SCAN_CHUNK", length * lines)
+        return 1 if blocks == "short" else blocks
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, "short"])
+    @pytest.mark.parametrize("ax", [0, 1])
+    def test_convolve_same_matches_whole_array_fft(self, ax, blocks, block_counts, monkeypatch):
+        rng = np.random.default_rng(11)
+        x, kernel = rng.random((37, 23)), rng.random(15)
+        length = heatflow._fast_len(x.shape[ax] + kernel.size - 1)
+        count = self._set_lines(monkeypatch, length, x.shape[1 - ax], blocks)
+        want = fft_convolve_same(x, kernel, ax)
+        shape = [1, 1]
+        shape[ax] = kernel.size
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            np.testing.assert_array_equal(heatflow._convolve_same(x, kernel.reshape(shape)), want)
+        assert block_counts == [(count, 1), (count, min(2, count))]
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, "short"])
+    def test_heat_step_matches_whole_array_fft(self, blocks, block_counts, monkeypatch):
+        # h = 0.2 and t = 0.1: 18 offsets each side, 41 + 37 - 1 -> 80 points
+        grid = sample_grid(lambda p: np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2 + 0.3 * p[:, 0]),
+                           [-4.0, -4.0], [4.0, 4.0], [41, 41])
+        count = self._set_lines(monkeypatch, 80, 41, blocks)
+        want = fft_heat_step(grid, 0.1)
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            np.testing.assert_array_equal(heat_step(grid, 0.1).values, want)
+        assert block_counts == [(count, 1)] * 2 + [(count, min(2, count))] * 2
+
+    def test_overflow_in_the_workers_block_raises_on_the_caller(self, monkeypatch):
+        # six blocks of 7 columns for the first axis: columns 7-13 are block
+        # 1, the worker's, and only they overflow
+        _use_cpus(monkeypatch, 2)
+        self._set_lines(monkeypatch, 80, 41, 6)
+        values = np.ones((41, 41))
+        values[:, 7:14] = 1.7e308
+        grid = GridFunction([-4.0, -4.0], [4.0, 4.0], [41, 41], values)
+        seen, rfft = [], np.fft.rfft
+
+        def spy(a, *args):
+            seen.append((threading.get_ident(), bool(np.max(a) > 1e300)))
+            return rfft(a, *args)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        threads = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            heat_step(grid, 0.1)
+        assert threading.active_count() == threads  # the worker joined
+        assert {ident for ident, big in seen if big} == {ident for ident, _ in seen} - {
+            threading.get_ident()}
 
 
 class TestVerifyPreservation:
@@ -829,8 +946,9 @@ class TestTwoThreadScan:
 
     def test_traced_names_run_on_the_calling_thread_only(self, monkeypatch):
         calls = []
+        # rfft: the blocks of the 2-D heat steps, one line each here
         for owner, name in ((heatflow, "heat_step"), (GridFunction, "interpolate"),
-                            (heatflow._Workspace, "g_side")):
+                            (heatflow._Workspace, "g_side"), (np.fft, "rfft")):
             original = getattr(owner, name)
 
             def spy(*args, _original=original, _name=name, **kwargs):
@@ -840,13 +958,14 @@ class TestTwoThreadScan:
             monkeypatch.setattr(owner, name, spy)
         threads = threading.active_count()
         datum, f_grids, g_grids = _equivalence_cases()["young-narrow"]
+        assert f_grids[0].dim == 2
         verify_preservation(datum, f_grids, g_grids, [0.1, 0.5])
         monotone_functional(datum, g_grids, [0.0, 0.5])
         GridFunction([0.0], [1.0], [2], [0.0, 1.0]).interpolate([[0.5]])
         assert threading.active_count() == threads  # the worker joined
         idents = {name: {ident for n, ident in calls if n == name} for name, _ in calls}
         assert idents["heat_step"] == idents["interpolate"] == {threading.get_ident()}
-        assert len(idents["g_side"]) == 2
+        assert len(idents["g_side"]) == len(idents["rfft"]) == 2
 
 
 def test_sides_at_nodes_match_dense_sides():
