@@ -231,39 +231,35 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _convolve_same(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The linear convolution of ``x`` with an odd-length ``kernel`` of the
-    same number of axes, cut to the centred window of ``x``'s shape.
+def _convolve_axis(x: np.ndarray, kernel: np.ndarray, ax: int) -> np.ndarray:
+    """The linear convolution of ``x`` along axis ``ax`` with the odd-length
+    1-D ``kernel``, cut to the centred window of ``x``'s shape: a real FFT
+    per line, zero-padded to a fast length ``L`` at or above the full
+    convolution length, so nothing wraps around.
 
-    Real FFTs run only over the axes where the kernel is longer than one,
-    each zero-padded to a fast length ``L`` at or above the full convolution
-    length, so nothing wraps around; the other axes broadcast.
-
-    A 2-D ``x`` with a kernel along one axis is convolved in blocks of
-    ``max(1, SCAN_CHUNK // L)`` lines of the other axis, each written into
-    one output array; with two CPUs or more :func:`_on_threads` gives a
-    worker thread every other block.  The FFT of a line does not depend on
-    the lines beside it, so the output is bit for bit that of one FFT over
-    the whole array, on one thread or two, and the temporaries are a
-    block's, not the padded array's.
+    A 1-D ``x`` is one line and one FFT pair.  A 2-D ``x`` is convolved in
+    blocks of ``max(1, SCAN_CHUNK // L)`` lines of the other axis, each
+    written into one output array; with two CPUs or more
+    :func:`_on_threads` gives a worker thread every other block.  The FFT
+    of a line does not depend on the lines beside it, so the output is bit
+    for bit that of one FFT over the whole array, on one thread or two, and
+    the temporaries are a block's, not the padded array's.
     """
-    axes = [ax for ax, k in enumerate(kernel.shape) if k > 1]
-    lengths = [_fast_len(x.shape[ax] + kernel.shape[ax] - 1) for ax in axes]
-    kernel_spectrum = np.fft.rfftn(kernel, lengths, axes)
-    window = tuple(slice((k - 1) // 2, (k - 1) // 2 + n) for k, n in zip(kernel.shape, x.shape))
-    if len(axes) == x.ndim:
-        return np.fft.irfftn(np.fft.rfftn(x, lengths, axes) * kernel_spectrum, lengths, axes)[window]
-    (ax,), (length,) = axes, lengths
+    length = _fast_len(x.shape[ax] + kernel.size - 1)
+    kernel_spectrum = np.fft.rfft(kernel, length)
+    window = slice(kernel.size // 2, kernel.size // 2 + x.shape[ax])
+    if x.ndim == 1:
+        return np.fft.irfft(np.fft.rfft(x, length) * kernel_spectrum, length)[window]
     lines = max(1, SCAN_CHUNK // length)
     out = np.empty(x.shape)
+    x_lines, out_lines = np.moveaxis(x, ax, -1), np.moveaxis(out, ax, -1)  # one line per row
 
     def block(i, thread):
-        # the window takes the whole other axis, so it cuts a block's output too
-        at = (slice(None),) * (1 - ax) + (slice(i * lines, (i + 1) * lines),)
-        spectrum = np.fft.rfft(x[at], length, ax) * kernel_spectrum
-        out[at] = np.fft.irfft(spectrum, length, ax)[window]
+        at = slice(i * lines, (i + 1) * lines)
+        spectrum = np.fft.rfft(x_lines[at], length) * kernel_spectrum
+        out_lines[at] = np.fft.irfft(spectrum, length)[:, window]
 
-    count = -(-x.shape[1 - ax] // lines)
+    count = -(-len(x_lines) // lines)
     _on_threads(block, count, min(_threads(), count))
     return out
 
@@ -282,14 +278,13 @@ def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
     lives on the same grid.
 
     A diagonal weight makes the kernel a product of 1-D kernels, convolved
-    axis by axis with one zero-padded real FFT each; any other weight is
-    convolved with the full 2-D kernel.  FFT rounding can leave values a
-    hair below zero; they are clipped to zero once, at the end.
-
-    On a 2-D grid each axis is convolved in blocks of lines, every other
-    block on a worker thread where two CPUs are available, with the same
-    bits as on one (:func:`_convolve_same`); this function itself, and so
-    every name a tracer may wrap, runs on the calling thread.
+    axis by axis by :func:`_convolve_axis`: a 1-D grid as one line, a 2-D
+    grid in blocks of lines, every other block on a worker thread where two
+    CPUs are available, with the same bits as on one.  Any other weight is
+    convolved with the full 2-D kernel by one zero-padded 2-D real FFT
+    pair.  FFT rounding can leave values a hair below zero; they are
+    clipped to zero once, at the end.  This function itself, and so every
+    name a tracer may wrap, runs on the calling thread.
     """
     if not t > 0:
         raise ValueError(f"evolution time must be positive, got {t}")
@@ -304,18 +299,16 @@ def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
             f"kernel truncation radius {r_cut:.3g} exceeds 10x the grid extent "
             f"{extent:.3g}; the grid cannot resolve this evolution time accurately"
         )
-    h = f.spacing
-    # offsets inside the truncation radius, and those a grid of this size uses
-    reach = [math.ceil(r_cut / hx) for hx in h]
-    cuts = [min(cnt - 1, m) for m, cnt in zip(reach, f.n)]
+    # per axis the offsets inside the truncation radius, and the middle
+    # slice of them that a grid of this size uses
+    reach = [math.ceil(r_cut / hx) for hx in f.spacing]
+    offsets = [np.arange(-m, m + 1) * hx for m, hx in zip(reach, f.spacing)]
+    used = [slice(m - min(m, cnt - 1), m + min(m, cnt - 1) + 1) for m, cnt in zip(reach, f.n)]
     if np.array_equal(w, np.diag(np.diag(w))):
         out = f.values
-        for ax, (m, c, hx) in enumerate(zip(reach, cuts, h)):
-            kernel = np.exp(-(np.arange(-m, m + 1) * hx) ** 2 / (4.0 * t * w[ax, ax]))
-            kernel = kernel[m - c:m + c + 1] / kernel.sum()
-            shape = [1] * f.dim
-            shape[ax] = kernel.size
-            out = _convolve_same(out, kernel.reshape(shape))
+        for ax, (z, cut) in enumerate(zip(offsets, used)):
+            kernel = np.exp(-z**2 / (4.0 * t * w[ax, ax]))
+            out = _convolve_axis(out, kernel[cut] / kernel.sum(), ax)
     else:
         w_inv = np.linalg.inv(w)
 
@@ -323,17 +316,16 @@ def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
             quad = w_inv[0, 0] * z1**2 + 2.0 * w_inv[0, 1] * z1 * z2 + w_inv[1, 1] * z2**2
             return np.exp(-quad / (4.0 * t))
 
-        kernel = kernel_at(*np.meshgrid(*[np.arange(-c, c + 1) * hx for c, hx in zip(cuts, h)],
-                                        indexing="ij"))
-        if cuts == reach:
-            total = kernel.sum()
-        else:
-            # the grid cuts the kernel: sum the whole truncated kernel in row blocks
-            z1, z2 = [np.arange(-m, m + 1) * hx for m, hx in zip(reach, h)]
-            rows = max(1, SCAN_CHUNK // z2.size)
-            total = sum(kernel_at(*np.meshgrid(z1[i:i + rows], z2, indexing="ij")).sum()
-                        for i in range(0, z1.size, rows))
-        out = _convolve_same(f.values, kernel / total)
+        # the sum of the whole truncated kernel, in row blocks
+        z1, z2 = offsets
+        rows = max(1, SCAN_CHUNK // z2.size)
+        total = sum(kernel_at(*np.meshgrid(z1[i:i + rows], z2, indexing="ij")).sum()
+                    for i in range(0, z1.size, rows))
+        kernel = kernel_at(*np.meshgrid(z1[used[0]], z2[used[1]], indexing="ij")) / total
+        lengths = [_fast_len(cnt + k - 1) for cnt, k in zip(f.n, kernel.shape)]
+        spectrum = np.fft.rfft2(f.values, lengths) * np.fft.rfft2(kernel, lengths)
+        window = tuple(slice(k // 2, k // 2 + cnt) for cnt, k in zip(f.n, kernel.shape))
+        out = np.fft.irfft2(spectrum, lengths)[window]
     return GridFunction(f.lo, f.hi, f.n, np.clip(out, 0.0, None))
 
 
@@ -378,42 +370,50 @@ def _check_flow_inputs(datum: FrblDatum, f_grids, g_grids) -> None:
         raise ValueError("grid scans are limited to input sums of dimension at most 3")
 
 
-class _Workspace:
-    """The buffers of one chunk of at most ``size`` nodes of a grid walk:
-    its nodes, their projections onto the g grids, the interior mask, the
-    stencils, and three float arrays for the sides of the relation.  A chunk
-    writes every chunk-sized array into these; only the indices of the
-    interior nodes of a chunk that has exterior ones are allocated."""
+def _check_times(times) -> list[float]:
+    """``times`` as floats, each nonnegative (so not NaN): the time rule of
+    both flow scans, checked before any heat step."""
+    times = [float(t) for t in times]
+    if bad := [t for t in times if not t >= 0]:
+        raise ValueError(f"times must be nonnegative, got {bad[0]}")
+    return times
 
-    def __init__(self, size: int, dim: int, g_grids):
-        self.nodes, self.inner = np.empty((2, size, dim))
+
+class _Workspace:
+    """The buffers of one chunk of at most ``size`` nodes of a walk over the
+    input sum of ``datum``: its nodes, their projections onto the g grids
+    by the transposed rows of ``Q`` (built once), the interior mask, the
+    stencils, and three float arrays for the sides of the relation.  A
+    chunk writes every chunk-sized array into these; a chunk that has
+    exterior nodes gathers its interior nodes, projections and f side into
+    fresh arrays."""
+
+    def __init__(self, datum: FrblDatum, g_grids, size: int):
+        self.rows_t = [datum.out_row(j).T for j in range(len(g_grids))]
+        self.offsets = datum.layout.in_offsets  # the input axes of each f factor
+        self.nodes = np.empty((size, datum.layout.dim_in))
         self.proj = [np.empty((size, gg.dim)) for gg in g_grids]
-        self.points = np.empty((size, max(gg.dim for gg in g_grids)))  # one grid's, compressed
         self.mask, self.flag = np.empty((2, size), dtype=bool)
         self.side, self.part, self.scratch = np.empty((3, size))
         self.stencils = [_Stencil(gg, size) for gg in g_grids]
-        self.index = None  # the interior nodes' indices; None when every node is interior
 
-    def interior(self, rows_t, count: int) -> np.ndarray:
-        """Project the first ``count`` nodes by the transposed rows of ``Q``
-        (one per g grid), keep those whose every projection lies in its grid
-        box and fill the stencils there; returns the interior nodes."""
+    def interior(self, count: int) -> np.ndarray:
+        """Project the first ``count`` nodes onto the g grids, keep those
+        whose every projection lies in its grid box and fill the stencils
+        there; returns the interior nodes."""
         nodes, mask, flag = self.nodes[:count], self.mask[:count], self.flag[:count]
         mask.fill(True)
-        proj = [np.matmul(nodes, q_t, out=p[:count]) for q_t, p in zip(rows_t, self.proj)]
+        proj = [np.matmul(nodes, q_t, out=p[:count]) for q_t, p in zip(self.rows_t, self.proj)]
         for st, pts in zip(self.stencils, proj):
             st.inside(pts, mask, flag)
+        # the interior nodes' indices, None when every node is interior
         self.index = None if mask.all() else np.flatnonzero(mask)
         if self.index is not None:
-            nodes = self.compress(nodes, self.inner)
+            # np.take: a 2-D fancy index copies rows an order of magnitude slower
+            nodes, *proj = (np.take(a, self.index, axis=0) for a in (nodes, *proj))
         for st, pts in zip(self.stencils, proj):
-            st.fill(pts if self.index is None else self.compress(pts, self.points), self.scratch)
+            st.fill(pts, self.scratch)
         return nodes
-
-    def compress(self, a: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """The rows of ``a`` at the interior nodes, in the front of ``buf``."""
-        out = buf.reshape(-1)[:len(self.index) * a.shape[1]].reshape(-1, a.shape[1])
-        return np.take(a, self.index, axis=0, out=out, mode="clip")
 
     def g_side(self, g_grids, d, shift: float) -> np.ndarray:
         """``prod_j (g_j + shift)^{d_j}`` at the interior nodes, each factor in
@@ -427,7 +427,7 @@ class _Workspace:
             side = part if side is None else imul(side, part)
         return side
 
-    def f_side(self, powers, row, factor_axes) -> np.ndarray:
+    def f_side(self, powers, row) -> np.ndarray:
         """The product of the f factors' ``powers`` at the interior nodes of
         the chunk whose rows of the leading axes are ``row``, in factor order.
 
@@ -437,14 +437,12 @@ class _Workspace:
         shape = (len(row[0]) if row else 1, last.shape[-1])
         out = self.scratch[:math.prod(shape)].reshape(shape)
         if last.ndim == 2:
-            last = np.take(last, row[factor_axes[-2]], axis=0, out=out, mode="clip")
-        per_row = [p[row[a:b]][:, None] for p, a, b in zip(firsts, factor_axes, factor_axes[1:])]
+            last = np.take(last, row[self.offsets[-2]], axis=0, out=out, mode="clip")
+        per_row = [p[row[a:b]][:, None] for p, a, b in zip(firsts, self.offsets, self.offsets[1:])]
         if per_row:  # the product of two factors is the same in either order
             last = np.multiply(reduce(np.multiply, per_row), last, out=out)
         out = last.ravel()  # with one axis in all, the chunk is the whole axis
-        if self.index is None:
-            return out
-        return np.take(out, self.index, out=self.part[:len(self.index)], mode="clip")
+        return out if self.index is None else out[self.index]
 
 
 def _threads() -> int:
@@ -490,10 +488,10 @@ def _walk(datum: FrblDatum, g_grids, axes, scan) -> list:
 
     A chunk is ``max(1, SCAN_CHUNK // n_last)`` whole rows of the last axis.
     ``row`` holds its rows' indices into the leading axes and ``nodes`` its
-    interior nodes: those whose every projection lies in its g grid.  The
-    workspace holds the chunk's nodes, mask and stencils at those nodes,
-    which serve every heat evolution of ``g_grids`` since evolution keeps
-    each box.  ``scan`` returns ``None`` for a chunk without interior nodes.
+    interior nodes (whose every projection lies in its g grid): a view of
+    the workspace, or a fresh gather where some nodes are exterior.  The
+    workspace's stencils there serve every evolution of ``g_grids``, which
+    keeps each box.  A chunk without interior nodes gives ``None``.
 
     With two CPUs or more, :func:`_on_threads` gives a worker thread every
     other chunk; each thread works in its own workspace, which this thread
@@ -506,9 +504,8 @@ def _walk(datum: FrblDatum, g_grids, axes, scan) -> list:
     dim, n_rows = len(shape), math.prod(shape[:-1])
     step = max(1, SCAN_CHUNK // shape[-1])
     starts = range(0, n_rows, step)
-    rows_t = [datum.out_row(j).T for j in range(len(g_grids))]
     size = min(step, n_rows) * shape[-1]
-    spaces = [_Workspace(size, dim, g_grids) for _ in range(min(_threads(), len(starts)))]
+    spaces = [_Workspace(datum, g_grids, size) for _ in range(min(_threads(), len(starts)))]
     for ws in spaces:
         ws.nodes.reshape(-1, shape[-1], dim)[..., -1] = axes[-1]
 
@@ -520,7 +517,7 @@ def _walk(datum: FrblDatum, g_grids, axes, scan) -> list:
         grid = ws.nodes[:count].reshape(len(rows), shape[-1], dim)
         for ax, (coords, index) in enumerate(zip(axes, row)):
             grid[..., ax] = coords[index, None]
-        nodes = ws.interior(rows_t, count)
+        nodes = ws.interior(count)
         return scan(nodes, row, ws) if len(nodes) else None
 
     return _on_threads(chunk, len(starts), len(spaces))
@@ -530,9 +527,9 @@ def _sides_at_nodes(datum: FrblDatum, f_grids, g_grids, nodes, shift: float):
     """The f side at every node of the full product grid, the g side and the
     interior mask: one scan chunk as a whole grid, timed by ``perfbench``."""
     f_side = reduce(np.multiply.outer, [fg.values ** ci for fg, ci in zip(f_grids, datum.c)])
-    ws = _Workspace(len(nodes), nodes.shape[1], g_grids)
+    ws = _Workspace(datum, g_grids, len(nodes))
     ws.nodes[:] = nodes
-    ws.interior([datum.out_row(j).T for j in range(len(g_grids))], len(nodes))
+    ws.interior(len(nodes))
     return f_side.ravel(), ws.g_side(g_grids, datum.d, shift), ws.mask
 
 
@@ -573,11 +570,11 @@ def verify_preservation(
     time.
     """
     _check_flow_inputs(datum, f_grids, g_grids)
-    times = [float(t) for t in times]
-    if any(not (time := t) >= 0 for t in times):
-        raise ValueError(f"times must be nonnegative, got {time}")
+    times = _check_times(times)
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
 
     # states[0] is time zero, for the precondition.  A failing heat step is
     # raised only after the checks of time zero and of the earlier times.
@@ -592,9 +589,6 @@ def verify_preservation(
         except ValueError as exc:
             heat_error = exc
             break
-    scanned = times[:len(states) - 1]
-
-    factor_axes = np.cumsum([0] + [fg.dim for fg in f_grids])
 
     def scan(nodes, row, ws):
         # per state the g maximum, then the time-zero candidates (filtered
@@ -604,7 +598,7 @@ def verify_preservation(
         for s, (fp, gt) in enumerate(states):
             defect = ws.g_side(gt, datum.d, shift)
             tops.append(defect.max())
-            np.subtract(defect, ws.f_side(fp, row, factor_axes), out=defect)
+            np.subtract(defect, ws.f_side(fp, row), out=defect)
             if s == 0:
                 low = np.less(defect, -tol * (1.0 + float(tops[0])), out=ws.flag[:len(nodes)])
                 candidates = (nodes[low], defect[low]) if low.any() else (nodes[:0], defect[:0])
@@ -630,7 +624,7 @@ def verify_preservation(
         raise PreservationPreconditionError(
             [(tuple(x), float(d)) for x, d in zip(low_nodes[bad], low_defects[bad])]
         )
-    for t, ok in zip(scanned, np.isfinite(least).all(axis=0) & np.isfinite(g_max[1:])):
+    for t, ok in zip(times, np.isfinite(least).all(axis=0) & np.isfinite(g_max[1:])):
         if not ok:
             raise ValueError(f"non-finite defect values at t={t}")
     if heat_error is not None:
@@ -693,7 +687,7 @@ def monotone_functional(
         raise ValueError(f"the box has {len(n)} axes; the input sum has {layout.dim_in}")
     if max(n) > MAX_BOX_AXIS:
         raise ValueError(f"a box axis takes at most {MAX_BOX_AXIS} samples, got {max(n)}")
-    times = [float(t) for t in times]
+    times = _check_times(times)
     evolved = [g_grids if t == 0.0 else [heat_step(gg, t) for gg in g_grids] for t in times]
 
     def scan(nodes, row, ws):

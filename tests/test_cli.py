@@ -854,17 +854,16 @@ class TestContract:
         _assert_one_error_line(captured)
         assert captured.err.startswith(f"error: cannot write {path}: ")
 
-    @pytest.mark.parametrize("times", ["nan", "0.1,nan"])
+    @pytest.mark.parametrize("times", ["nan", "0.1,nan", "0,-1"])
     @pytest.mark.parametrize("command", ["flow-verify", "flow-monotone"])
     def test_nan_times_are_input_errors(self, command, times, pl_file, tmp_path, capsys):
+        # both flow commands hold their times to one rule, with one message
         line = tmp_path / "line.json"
         line.write_text(json.dumps(datum_to_json(holder([1.0]))))
-        datum, message = {"flow-verify": (pl_file, "times must be nonnegative, got nan"),
-                          "flow-monotone": (str(line), "must be positive, got nan")}[command]
+        datum = {"flow-verify": pl_file, "flow-monotone": str(line)}[command]
         assert main([command, datum, grids_file(tmp_path), f"--times={times}"]) == 2
-        captured = capsys.readouterr()
-        _assert_one_error_line(captured)
-        assert message in captured.err
+        bad = float(times.split(",")[-1])
+        assert capsys.readouterr() == ("", f"error: times must be nonnegative, got {bad}\n")
 
     def test_flow_verify_caps_the_input_sum_at_three_axes(self, tmp_path, capsys):
         datum, grids = tmp_path / "four.json", tmp_path / "g.json"
@@ -1064,14 +1063,20 @@ class TestContract:
 _FUZZ_VALUES = [None, [], {}, "x", -1, 0, 1e300, -1e300, [[]], [None], [1e308, -1e308], [0],
                 [1, 2, 3]]
 
+# Each is the whole of every input file in turn.
+_FUZZ_FILES = [[], [1, 2], "x", 3, None, {}]
+
+_FUZZ_COMMANDS = ["check", "sigma", "gaussian relation", "gaussian ratio", "gaussian extremizer",
+                  "gaussian geometrize", "flow-verify", "flow-monotone"]
+
 
 class TestFuzz:
-    @pytest.mark.parametrize("command", ["check", "sigma", "gaussian relation", "gaussian ratio",
-                                         "gaussian extremizer", "gaussian geometrize",
-                                         "flow-verify", "flow-monotone"])
-    def test_every_key_keeps_the_exit_contract(self, command, tmp_path, capsys):
-        # every run exits 0, 1 or 2 without a traceback, a run that exits 2
-        # prints one error line alone, and a JSON report is strict JSON
+    """Every run exits 0, 1 or 2 without a traceback, a run that exits 2
+    prints one error line alone, and a JSON report is strict JSON."""
+
+    @staticmethod
+    def _command(command, tmp_path):
+        """A valid input object per input file, the file paths and the argv."""
         axis = np.linspace(-3.0, 3.0, 13)
         grid = grid_to_json(GridFunction([-3.0], [3.0], [13], np.exp(-axis**2)))
         gaussian = {"log_prefactor": 0.0, "form": [[1.0]]}
@@ -1085,26 +1090,57 @@ class TestFuzz:
         elif name == "flow-monotone":
             inputs["grids"] = {"g": [grid]}
         paths = {key: tmp_path / f"{key}.json" for key in inputs}
-        argv = [name, *map(str, paths.values()), *(["--op", *op] if op else [])]
         for key, path in paths.items():
             path.write_text(json.dumps(inputs[key]))
+        return inputs, paths, [name, *map(str, paths.values()), *(["--op", *op] if op else [])]
+
+    @staticmethod
+    def _keeps_the_contract(argv, obj, path, capsys, *where):
+        path.write_text(json.dumps(obj))
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        where = (*where, out, err)
+        assert rc in (0, 1, 2), where
+        if rc == 2:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, where
+        elif argv[0] in ("check", "sigma", "gaussian"):
+            json.loads(out, parse_constant=_reject_constant)
+
+    @staticmethod
+    def _entries(base):
+        """The file's own keys, and those of the first grid or Gaussian of a list."""
+        return [(k,) for k in base] + [(k, 0, sub) for k, v in base.items()
+                                        if isinstance(v[0], dict) for sub in v[0]]
+
+    @pytest.mark.parametrize("command", _FUZZ_COMMANDS)
+    def test_every_key_keeps_the_exit_contract(self, command, tmp_path, capsys):
+        inputs, paths, argv = self._command(command, tmp_path)
         assert main(argv) in (0, 1)
         capsys.readouterr()
         for key, base in inputs.items():
-            # the file's own keys, and those of the first grid or Gaussian of a list
-            entries = [(k,) for k in base] + [(k, 0, sub) for k, v in base.items()
-                                              if isinstance(v[0], dict) for sub in v[0]]
-            for *parents, last in entries:
+            for *parents, last in self._entries(base):
                 for value in _FUZZ_VALUES:
                     obj = json.loads(json.dumps(base))
                     functools.reduce(operator.getitem, parents, obj)[last] = value
-                    paths[key].write_text(json.dumps(obj))
-                    rc = main(argv)
-                    out, err = capsys.readouterr()
-                    where = (key, *parents, last, value, out, err)
-                    assert rc in (0, 1, 2), where
-                    if rc == 2:
-                        assert out == "" and err.startswith("error:") and err.count("\n") == 1, where
-                    elif name in ("check", "sigma", "gaussian"):
-                        json.loads(out, parse_constant=_reject_constant)
+                    self._keeps_the_contract(argv, obj, paths[key], capsys,
+                                             key, *parents, last, value)
+            paths[key].write_text(json.dumps(base))
+
+    @pytest.mark.parametrize("command", _FUZZ_COMMANDS)
+    def test_every_json_shape_keeps_the_exit_contract(self, command, tmp_path, capsys):
+        # a whole file of another JSON type, and a list-valued key as an
+        # object keyed by index or nested one level deeper
+        inputs, paths, argv = self._command(command, tmp_path)
+        for key, base in inputs.items():
+            for value in _FUZZ_FILES:
+                self._keeps_the_contract(argv, value, paths[key], capsys, key, value)
+            for *parents, last in self._entries(base):
+                listed = functools.reduce(operator.getitem, parents, base)[last]
+                if not isinstance(listed, list):
+                    continue
+                for value in ({str(i): v for i, v in enumerate(listed)}, [listed]):
+                    obj = json.loads(json.dumps(base))
+                    functools.reduce(operator.getitem, parents, obj)[last] = value
+                    self._keeps_the_contract(argv, obj, paths[key], capsys,
+                                             key, *parents, last, value)
             paths[key].write_text(json.dumps(base))

@@ -392,11 +392,9 @@ class TestHeatStepBlocks:
         length = heatflow._fast_len(x.shape[ax] + kernel.size - 1)
         count = self._set_lines(monkeypatch, length, x.shape[1 - ax], blocks)
         want = fft_convolve_same(x, kernel, ax)
-        shape = [1, 1]
-        shape[ax] = kernel.size
         for cpus in (1, 2):
             _use_cpus(monkeypatch, cpus)
-            np.testing.assert_array_equal(heatflow._convolve_same(x, kernel.reshape(shape)), want)
+            np.testing.assert_array_equal(heatflow._convolve_axis(x, kernel, ax), want)
         assert block_counts == [(count, 1), (count, min(2, count))]
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, "short"])
@@ -497,6 +495,23 @@ class TestVerifyPreservation:
         g = gaussian_grid(n=101)
         field = verify_preservation(datum, [g, g], [g], [0.1], tol=1e-4, shift=0.05)
         assert field.holds  # lifting only the g side can only help
+
+
+@pytest.mark.parametrize("scan, times, shift, message", [
+    ("verify", [0.1, -1.0], 0.0, "times must be nonnegative, got -1.0"),
+    ("verify", [0.1], math.nan, "shift must be finite, got nan"),
+    ("verify", [0.1], -math.inf, "shift must be finite, got -inf"),
+    ("monotone", [0.0, 0.5, -1.0], None, "times must be nonnegative, got -1.0"),
+    ("monotone", [0.5, math.nan], None, "times must be nonnegative, got nan"),
+], ids=["negative-time", "nan-shift", "inf-shift", "monotone-negative-time", "monotone-nan-time"])
+def test_scan_arguments_are_checked_before_any_heat_step(scan, times, shift, message, monkeypatch):
+    monkeypatch.setattr(heatflow, "heat_step", lambda *args: pytest.fail("a heat step ran"))
+    g = gaussian_grid(n=101)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if scan == "verify":
+            verify_preservation(prekopa_leindler(0.5), [g, g], [g], times, shift=shift)
+        else:
+            monotone_functional(young_frame(), [g] * 3, times)
 
 
 class TestMonotoneFunctional:
@@ -964,8 +979,11 @@ class TestTwoThreadScan:
         GridFunction([0.0], [1.0], [2], [0.0, 1.0]).interpolate([[0.5]])
         assert threading.active_count() == threads  # the worker joined
         idents = {name: {ident for n, ident in calls if n == name} for name, _ in calls}
-        assert idents["heat_step"] == idents["interpolate"] == {threading.get_ident()}
-        assert len(idents["g_side"]) == len(idents["rfft"]) == 2
+        caller = threading.get_ident()
+        assert idents["heat_step"] == idents["interpolate"] == {caller}
+        # each _on_threads call starts a new worker, whose ident may or may not be reused
+        for name in ("g_side", "rfft"):
+            assert caller in idents[name] and idents[name] - {caller}, name
 
 
 def test_sides_at_nodes_match_dense_sides():

@@ -199,23 +199,43 @@ def test_benchmark_workload_runs(workload, tmp_path, monkeypatch):
     assert bench.verdicts and not failures
 
 
-def _decoder_uses(node, scope="<module>"):
-    """(enclosing function, ``json.load``-like name) for every use of
-    ``json.load``, ``json.loads`` or ``orjson.loads`` under ``node``."""
+def _dotted_uses(node, scope="<module>"):
+    """(enclosing top-level function, dotted name) for every attribute chain
+    such as ``np.fft.rfft`` and every ``from a import b`` (as ``a.b``) under
+    ``node``; a function nested in another counts as its enclosing one."""
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Attribute) and child.attr in ("load", "loads")
-                and isinstance(child.value, ast.Name) and child.value.id in ("json", "orjson")):
-            yield scope, f"{child.value.id}.{child.attr}"
-        if isinstance(child, ast.ImportFrom) and child.module in ("json", "orjson"):
-            yield from ((scope, f"{child.module}.{a.name}") for a in child.names
-                        if a.name in ("load", "loads"))
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        yield from _decoder_uses(child, inner)
+        if isinstance(child, ast.Attribute):
+            names, value = [child.attr], child.value
+            while isinstance(value, ast.Attribute):
+                names, value = [value.attr, *names], value.value
+            if isinstance(value, ast.Name):
+                yield scope, ".".join([value.id, *names])
+        if isinstance(child, ast.ImportFrom):
+            yield from ((scope, f"{child.module}.{a.name}") for a in child.names)
+        inner = scope
+        if scope == "<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        yield from _dotted_uses(child, inner)
+
+
+def _uses(*names):
+    """(file, enclosing top-level function, dotted name) for every use in
+    ``src/frbl`` of one of ``names`` or of a name under them."""
+    return {(path.name, *use) for path in sorted(SRC.glob("*.py"))
+            for use in _dotted_uses(ast.parse(path.read_text(encoding="utf-8")))
+            if any(use[1] == n or use[1].startswith(f"{n}.") for n in names)}
 
 
 def test_one_json_decoder():
     """Every JSON input is decoded in ``cli._load_json``, so every command
     reads the same dialect."""
-    uses = {(path.name, *use) for path in sorted(SRC.glob("*.py"))
-            for use in _decoder_uses(ast.parse(path.read_text(encoding="utf-8")))}
-    assert uses == {("cli.py", "_load_json", "orjson.loads")}
+    assert _uses("json.load", "json.loads", "orjson.loads") == {
+        ("cli.py", "_load_json", "orjson.loads")}
+
+
+def test_one_fft_routine_and_one_thread_helper():
+    """A heat step's FFTs run in ``_convolve_axis``, or for a full 2-D
+    kernel in ``heat_step``; every thread starts in ``_on_threads``."""
+    assert {use[:2] for use in _uses("np.fft", "numpy.fft")} == {
+        ("heatflow.py", "_convolve_axis"), ("heatflow.py", "heat_step")}
+    assert _uses("threading.Thread") == {("heatflow.py", "_on_threads", "threading.Thread")}
