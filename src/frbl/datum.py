@@ -11,6 +11,7 @@ factors.  Factors are identified with stacked column-vector segments, so
 
 from __future__ import annotations
 
+import array
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -59,8 +60,14 @@ class DatumValidationError(ValueError):
 
 
 def _numbers(value, what: str) -> np.ndarray:
-    """A JSON value as a numpy array of integers or floats; strings,
-    booleans and nulls in it raise ``ValueError``."""
+    """A JSON value as a numpy array of integers or floats; strings, nulls and
+    lists of booleans only raise ``ValueError``.  A flat list not led by a
+    boolean is read as doubles in one pass that refuses strings and nulls."""
+    if isinstance(value, list) and value and not isinstance(value[0], (list, bool, np.bool_)):
+        try:
+            return np.frombuffer(array.array("d", value))
+        except (TypeError, OverflowError):
+            pass
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{what} must hold numbers only")

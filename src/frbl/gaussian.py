@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,18 +75,24 @@ class CenteredGaussian:
         return self.log_prefactor - float(x @ self.form.mat @ x)
 
 
+def _by_dim(forms) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The indices and the stack of the square ``forms`` of each dimension, ascending."""
+    dims = [form.shape[-1] for form in forms]
+    for dim in sorted(set(dims)):
+        same = [i for i, n in enumerate(dims) if n == dim]
+        yield same, np.array([forms[i] for i in same])
+
+
 def _log_integrals(forms, log_prefactors: np.ndarray) -> np.ndarray:
     """``l + (n/2) log pi - (1/2) log det(form)`` per factor, for a stack of
     shape ``()`` or ``(count,)``: forms of shape ``stack + (n_i, n_i)``, all
     positive definite, and log prefactors of shape ``stack + (factors,)``.
     One eigenvalue solve per distinct factor dimension."""
     spread = np.empty(log_prefactors.shape[::-1])  # factors first
-    dims = [form.shape[-1] for form in forms]
-    for dim in sorted(set(dims)):
-        same = [i for i, n in enumerate(dims) if n == dim]
-        w = np.linalg.eigvalsh(np.array([forms[i] for i in same]))
+    for same, stack in _by_dim(forms):
+        w = np.linalg.eigvalsh(stack)
         _require_pd(float(w.min()), "Gaussian form")
-        spread[same] = dim * math.log(math.pi) - np.log(w).sum(axis=-1)
+        spread[same] = stack.shape[-1] * math.log(math.pi) - np.log(w).sum(axis=-1)
     return log_prefactors + 0.5 * spread.T
 
 
@@ -100,6 +107,14 @@ def log_gaussian_integral(g: CenteredGaussian) -> float:
     return float(_log_integrals([g.form.mat], np.array([g.log_prefactor]))[0])
 
 
+def _flow(mu: np.ndarray, m: np.ndarray, t: float) -> tuple:
+    """``(M diag(nu) M^T, sum log1p(4 t mu), nu)`` with ``nu = mu / (1 + 4 t mu)``,
+    for one ``(mu, M)`` or a stack of them: the closed-form heat flow."""
+    spread = 4.0 * t * mu
+    nu = mu / (1.0 + spread)
+    return (m * nu[..., None, :]) @ m.swapaxes(-1, -2), np.log1p(spread).sum(axis=-1), nu
+
+
 def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None) -> CenteredGaussian:
     """Evolve a Gaussian for time ``t`` under the weighted Laplacian with
     positive definite weight ``a_weight`` (identity when omitted).
@@ -110,30 +125,23 @@ def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None
     the new form is ``M diag(mu / (1 + 4 t mu)) M^T`` for ``M = W^{-1/2} U``
     and the determinant is ``prod (1 + 4 t mu)``, so one eigendecomposition
     (two with a weight) serves both and large ``t`` stays stable.  Without a
-    weight ``M`` is orthogonal, so ``mu / (1 + 4 t mu)`` are the new form's
-    eigenvalues and its positive definiteness check needs no second solve.
+    weight this is :func:`evolve_tuple` on the one-Gaussian tuple.
     """
+    if a_weight is None:
+        return evolve_tuple(GaussianTuple((g,), ()), t).f[0]
     if not t > 0:
         raise ValueError(f"evolution time must be positive, got {t}")
-    b = g.form.mat
-    if a_weight is None:
-        mu, m = np.linalg.eigh(b)
-    else:
-        w, v = _heat_weight(a_weight, g.space_dim, "Gaussian")
-        sqrt_w = np.sqrt(w)
-        root = (v * sqrt_w) @ v.T
-        mu, u = np.linalg.eigh(root @ b @ root)
-        m = (v / sqrt_w) @ (v.T @ u)
-    spread = 4.0 * t * mu
-    nu = mu / (1.0 + spread)
-    log_det = float(np.log1p(spread).sum())
-    min_eig = float(nu.min()) if a_weight is None else None
-    return CenteredGaussian(SymMatrix((m * nu) @ m.T), g.log_prefactor - 0.5 * log_det, min_eig)
+    w, v = _heat_weight(a_weight, g.space_dim, "Gaussian")
+    sqrt_w = np.sqrt(w)
+    root = (v * sqrt_w) @ v.T
+    mu, u = np.linalg.eigh(root @ g.form.mat @ root)
+    form, log_det, _ = _flow(mu, (v / sqrt_w) @ (v.T @ u), t)
+    return CenteredGaussian(SymMatrix(form), g.log_prefactor - 0.5 * float(log_det))
 
 
 @dataclass(frozen=True)
 class GaussianTuple:
-    """Gaussians ``f_i`` on the input factors and ``g_j`` on the output factors."""
+    """Gaussians ``f_i`` and ``g_j`` on the input and output factors, and their kept spectra."""
 
     f: tuple[CenteredGaussian, ...]
     g: tuple[CenteredGaussian, ...]
@@ -141,6 +149,13 @@ class GaussianTuple:
     def __post_init__(self):
         object.__setattr__(self, "f", tuple(self.f))
         object.__setattr__(self, "g", tuple(self.g))
+
+    @cached_property
+    def _spectra(self) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+        """``(indices, mu, M)`` per dimension of the forms of ``f + g``, ``form =
+        M diag(mu) M^T``: one batched ``eigh`` each, at the first :func:`evolve_tuple`."""
+        forms = [x.form.mat for x in self.f + self.g]
+        return [(same, *np.linalg.eigh(stack)) for same, stack in _by_dim(forms)]
 
     def check_layout(self, datum: FrblDatum) -> None:
         datum.layout.check_shapes("tuple forms", [x.form.mat.shape for x in self.f],
@@ -213,18 +228,26 @@ def evolve_tuple(
 ) -> GaussianTuple:
     """Evolve every component for time ``t``.
 
-    Identity-weight Laplacians by default; explicit per-factor weight lists
-    select the weighted flows (matching non-geometric data that are
-    equivalent to geometric ones).
+    Identity-weight Laplacians by default, the forms of each dimension as
+    one stack from spectra the tuple keeps; per-factor weight lists select
+    the weighted flows (matching non-geometric data that are equivalent to
+    geometric ones), one :func:`heat_evolve` per factor.
     """
-    if in_weights is None:
-        in_weights = [None] * len(tup.f)
-    if out_weights is None:
-        out_weights = [None] * len(tup.g)
-    return GaussianTuple(
-        tuple(heat_evolve(g, t, w) for g, w in zip(tup.f, in_weights, strict=True)),
-        tuple(heat_evolve(g, t, w) for g, w in zip(tup.g, out_weights, strict=True)),
-    )
+    if in_weights is None and out_weights is None:
+        if not t > 0:
+            raise ValueError(f"evolution time must be positive, got {t}")
+        parts = [None] * (len(tup.f) + len(tup.g))
+        for same, mu, m in tup._spectra:
+            for i, part in zip(same, zip(*_flow(mu, m, t))):
+                parts[i] = part
+        # M is orthogonal, so nu are the new forms' eigenvalues
+        evolved = [CenteredGaussian(SymMatrix(form), x.log_prefactor - 0.5 * log_det, nu.min())
+                   for x, (form, log_det, nu) in zip(tup.f + tup.g, parts)]
+        return GaussianTuple(evolved[:len(tup.f)], evolved[len(tup.f):])
+    in_weights = [None] * len(tup.f) if in_weights is None else in_weights
+    out_weights = [None] * len(tup.g) if out_weights is None else out_weights
+    return GaussianTuple(tuple(heat_evolve(g, t, w) for g, w in zip(tup.f, in_weights, strict=True)),
+                         tuple(heat_evolve(g, t, w) for g, w in zip(tup.g, out_weights, strict=True)))
 
 
 @dataclass(frozen=True)

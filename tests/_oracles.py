@@ -9,7 +9,9 @@ the whole node set at once (it shares only the heat step with the
 library), and the sigma constraints built entry by entry, which re-check
 a separator from the datum alone, and the Gaussian tuple sampler,
 relation check and ratio one tuple and one factor at a time, the
-reference for the stacked families.  Three builders of test inputs come
+reference for the stacked families, and the identity heat flow of one
+Gaussian from its own ``eigh``, the reference for the stacked tuple flow.
+Three builders of test inputs come
 last: a grid sampled from a function, the unit-form Gaussian and a family
 stacked from loose tuples.
 """
@@ -331,6 +333,17 @@ def log_ratio(datum, f, g) -> float:
     num = sum(ci * log_integral(*fi) for ci, fi in zip(datum.c, f))
     den = sum(dj * log_integral(*gj) for dj, gj in zip(datum.d, g))
     return float(num - den)
+
+
+def identity_flow(g: CenteredGaussian, t: float) -> tuple[np.ndarray, float]:
+    """The stored form and the log prefactor of ``g`` evolved for time ``t``
+    under the Laplacian, written out for this one Gaussian:
+    ``M diag(mu / (1 + 4 t mu)) M^T`` and ``l - (1/2) sum log1p(4 t mu)``
+    from ``eigh(form) = (mu, M)``."""
+    mu, m = np.linalg.eigh(g.form.mat)
+    spread = 4.0 * t * mu
+    return (_mirrored((m * (mu / (1.0 + spread))) @ m.T),
+            g.log_prefactor - 0.5 * float(np.log1p(spread).sum()))
 
 
 def sample_grid(fn, lo, hi, n) -> GridFunction:

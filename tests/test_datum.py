@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from frbl.datum import (
     make_datum,
     transform_from_json,
     transform_to_json,
+    _numbers,
     validate_datum,
 )
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
@@ -192,6 +196,37 @@ class TestJson:
         assert set(obj) == {"C", "D"}
         back = transform_from_json(obj)
         np.testing.assert_array_equal(back.c_blocks[0], t.c_blocks[0])
+
+    @pytest.mark.parametrize("value", [
+        [0.5, 2.0], [1, 2], [1, 2.5], [-0.0, 1e308], [2**63, 1.0], [2.0, True], [True, 2.0],
+        [True, 2], [True, False], [False], ["1.5", "2"], [1.0, None], [None], [1.0, "x"],
+        [1.0, {"a": 1.0}], [10**400], [[1.0, 2.0], [3.0, 4.0]], [1.0, [2.0]], [[1.0], 2.0],
+        [], 3.5, 7, True, None, "x"])
+    def test_numbers_follow_numpy_dtype_discovery(self, value):
+        # a flat list read in one typed pass accepts, rejects and reads what
+        # np.asarray's dtype discovery does
+        def outcome(read):
+            try:
+                arr = read(value, "x")
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return arr.shape, arr.astype(float).tobytes()
+
+        def discovered(value, what):
+            arr = np.asarray(value)
+            if arr.dtype.kind not in "iuf":
+                raise ValueError(f"{what} must hold numbers only")
+            return arr
+
+        assert outcome(_numbers) == outcome(discovered)
+
+    @pytest.mark.parametrize("value, read", [([2**70, 1], [2.0**70, 1.0]),
+                                             ([1.0, Fraction(1, 2), Decimal("0.25")], [1.0, 0.5, 0.25])])
+    def test_flat_list_reads_python_numbers_beyond_numpy_dtypes_as_doubles(self, value, read):
+        # the difference from dtype discovery, which makes an object array;
+        # no JSON decoder yields these
+        assert np.asarray(value).dtype == object
+        np.testing.assert_array_equal(_numbers(value, "c"), read)
 
     def test_transform_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from _oracles import (
     admissible_tuple,
     eig2x2,
     heat_quadrature_1d,
+    identity_flow,
     heat_quadrature_2d,
     log_ratio,
     random_psd,
@@ -443,6 +445,108 @@ class TestTupleHelpers:
             for t in (0.1, 1.0, 10.0):
                 res = relation_check(datum, evolve_tuple(tup, t))
                 assert res.holds, res
+
+
+def _same_bits(a: CenteredGaussian, b: CenteredGaussian) -> bool:
+    return (a.form.mat.tobytes() == b.form.mat.tobytes()
+            and np.float64(a.log_prefactor).tobytes() == np.float64(b.log_prefactor).tobytes())
+
+
+class TestTupleFlow:
+    """``evolve_tuple`` evolves each factor dimension as one stack from
+    spectra the tuple keeps, bit for bit the flow of each Gaussian alone."""
+
+    @settings(max_examples=60)
+    @given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=7),
+           split=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           exponents=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4))
+    def test_tuple_flow_is_the_flow_of_each_factor(self, dims, split, seed, exponents):
+        rng = np.random.default_rng(seed)
+        shared = [CenteredGaussian(SymMatrix(random_psd(rng, n, floor=0.05)), float(rng.normal()))
+                  for n in dims]
+        k = min(split, len(dims) - 1)
+        tup = GaussianTuple(shared[:k], shared[k:])
+        # a second tuple of the same Gaussian objects, in another layout
+        other = GaussianTuple(shared[::-1][:1], shared[::-1][1:])
+        for t in [10.0**e for e in exponents]:  # the two tuples at interleaved times
+            for which in (tup, other):
+                evolved = evolve_tuple(which, t)
+                for x, ev in zip(which.f + which.g, evolved.f + evolved.g, strict=True):
+                    assert _same_bits(ev, heat_evolve(x, t))
+                    form, log_prefactor = identity_flow(x, t)
+                    assert ev.form.mat.tobytes() == form.tobytes()
+                    assert ev.log_prefactor == log_prefactor
+
+    @settings(max_examples=30)
+    @given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=6), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(-6.0, 6.0), weighted=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_weighted_tuple_flow_is_the_flow_of_each_factor(self, dims, seed, exponent, weighted):
+        rng = np.random.default_rng(seed)
+        shared = [CenteredGaussian(SymMatrix(random_psd(rng, n, floor=0.05)), float(rng.normal()))
+                  for n in dims]
+        weights = [SymMatrix(random_psd(rng, n, floor=0.2)) if w else None
+                   for n, w in zip(dims, weighted)]
+        t, k = 10.0**exponent, len(dims) // 2
+        tup = GaussianTuple(shared[:k], shared[k:])
+        for in_w, out_w in ((weights[:k], weights[k:]), (weights[:k], None), (None, weights[k:])):
+            evolved = evolve_tuple(tup, t, in_w, out_w)
+            for x, w, ev in zip(shared, (in_w or [None] * k) + (out_w or [None] * (len(dims) - k)),
+                                evolved.f + evolved.g, strict=True):
+                assert _same_bits(ev, heat_evolve(x, t, w))
+
+    def _eigh_calls(self, monkeypatch) -> list:
+        calls, eigh = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return calls
+
+    def test_one_eigh_per_factor_dimension_and_tuple(self, monkeypatch):
+        datum = young_frame()  # a 2-dimensional input, three 1-dimensional outputs
+        tup = random_admissible_tuple(datum, np.random.default_rng(5))
+        calls = self._eigh_calls(monkeypatch)
+
+        def ladder(which):
+            for t in (0.01, 0.1, 1.0, 10.0, 100.0):
+                assert relation_check(datum, evolve_tuple(which, t)).holds
+
+        ladder(tup)
+        assert calls == [(3, 1, 1), (1, 2, 2)]
+        ladder(tup)
+        assert len(calls) == 2
+        ladder(GaussianTuple(tup.f, tup.g))
+        assert calls[2:] == [(3, 1, 1), (1, 2, 2)]
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_time_is_checked_before_any_work(self, t, monkeypatch):
+        tup = standard_tuple(young_frame())
+        calls = self._eigh_calls(monkeypatch)
+        with pytest.raises(ValueError, match=f"^evolution time must be positive, got {t}$"):
+            evolve_tuple(tup, t)
+        assert calls == []
+
+    def test_first_factor_below_the_floor_is_named(self):
+        # at t = 1e12 both evolved forms fall below PD_TOL; the f factor,
+        # the first in factor order though the later dimension, is reported
+        tup = GaussianTuple((CenteredGaussian(SymMatrix(np.eye(2))),),
+                            (CenteredGaussian(SymMatrix([[1e-11]])),))
+        low = 1.0 / (1.0 + 4e12)
+        assert f"{low:.3e}" != f"{1e-11 / (1.0 + 4e12 * 1e-11):.3e}"
+        with pytest.raises(ValueError, match=re.escape(
+                f"Gaussian form must be positive definite (min eigenvalue {low:.3e})")):
+            evolve_tuple(tup, 1e12)
+
+    @pytest.mark.parametrize("side", ["in", "out"])
+    @pytest.mark.parametrize("extra, word", [(1, "longer"), (-1, "shorter")])
+    def test_weight_lists_of_the_wrong_length(self, side, extra, word):
+        tup = standard_tuple(young_frame())
+        count = len(tup.f if side == "in" else tup.g) + extra
+        weights = {f"{side}_weights": [None] * count}
+        with pytest.raises(ValueError, match=f"^zip\\(\\) argument 2 is {word} than argument 1$"):
+            evolve_tuple(tup, 1.0, **weights)
 
 
 class TestWeightedFlowCharacterization:

@@ -202,7 +202,8 @@ def test_benchmark_workload_runs(workload, tmp_path, monkeypatch):
 def _dotted_uses(node, scope="<module>"):
     """(enclosing top-level function, dotted name) for every attribute chain
     such as ``np.fft.rfft`` and every ``from a import b`` (as ``a.b``) under
-    ``node``; a function nested in another counts as its enclosing one."""
+    ``node``; a function nested in another counts as its enclosing one, and
+    a method of a top-level class as ``Class.method``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Attribute):
             names, value = [child.attr], child.value
@@ -213,8 +214,11 @@ def _dotted_uses(node, scope="<module>"):
         if isinstance(child, ast.ImportFrom):
             yield from ((scope, f"{child.module}.{a.name}") for a in child.names)
         inner = scope
-        if scope == "<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if scope == "<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                      ast.ClassDef)):
             inner = child.name
+        elif isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef):
+            inner = f"{scope}.{child.name}"
         yield from _dotted_uses(child, inner)
 
 
@@ -239,3 +243,18 @@ def test_one_fft_routine_and_one_thread_helper():
     assert {use[:2] for use in _uses("np.fft", "numpy.fft")} == {
         ("heatflow.py", "_convolve_axis"), ("heatflow.py", "heat_step")}
     assert _uses("threading.Thread") == {("heatflow.py", "_on_threads", "threading.Thread")}
+
+
+def test_eigh_only_where_a_spectrum_is_new():
+    """An identity heat flow takes its spectra from the tuple that keeps
+    them, ``GaussianTuple._spectra``; ``np.linalg.eigh`` runs there, once in
+    ``heat_evolve`` (its weighted branch), in ``_heat_weight`` and in
+    ``_eig_map``."""
+    assert _uses("np.linalg.eigh", "numpy.linalg.eigh") == {
+        ("gaussian.py", "GaussianTuple._spectra", "np.linalg.eigh"),
+        ("gaussian.py", "heat_evolve", "np.linalg.eigh"),
+        ("linalg.py", "_heat_weight", "np.linalg.eigh"),
+        ("linalg.py", "_eig_map", "np.linalg.eigh")}
+    tree = ast.parse((SRC / "gaussian.py").read_text(encoding="utf-8"))
+    heat_evolve = next(fn for fn in tree.body if getattr(fn, "name", "") == "heat_evolve")
+    assert [use for _, use in _dotted_uses(heat_evolve)].count("np.linalg.eigh") == 1
