@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import math
 import os
@@ -45,13 +44,14 @@ if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"
 import numpy as np  # noqa: E402
 import orjson  # noqa: E402
 
+# ``gaussian``, ``heatflow`` and ``csv`` are imported by the commands that
+# use them, so no command pays for loading code it never runs.
 from . import datum as dm  # noqa: E402
-from . import gaussian as gc  # noqa: E402
-from . import heatflow as hf  # noqa: E402
 from .datum import datum_to_json, transform_to_json  # noqa: E402
 from .geometry import (DEFAULT_FEASIBILITY_TOL, DEFAULT_MAX_ITER, check_geometric,  # noqa: E402
                        find_sigma)
 from .instances import INSTANCE_NAMES, generate  # noqa: E402
+from .linalg import DEFAULT_DEFECT_TOL, DEFAULT_RELATION_TOL  # noqa: E402
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -123,6 +123,8 @@ def _load_datum(path: str):
 
 
 def _load_grids(path: str, need_f: bool = True):
+    from . import heatflow as hf
+
     def parse(obj):
         g_grids = [hf.grid_from_json(g) for g in obj["g"]]
         return [hf.grid_from_json(g) for g in obj["f"]] if need_f else [], g_grids
@@ -147,6 +149,8 @@ def _emit(payload, out: str | None) -> None:
 
 
 def _write_csv(rows, out: str | None) -> None:
+    import csv
+
     _write(out, lambda fh: csv.writer(fh).writerows(rows))
 
 
@@ -199,6 +203,8 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
+    from . import gaussian as gc
+
     datum = _load_datum(args.datum)
     tup = _load(args.tuple, "Gaussian tuple", gc.tuple_from_json)
     tup.check_layout(datum)
@@ -209,10 +215,7 @@ def _cmd_gaussian(args) -> int:
 
     if args.op == "ratio":
         log_ratio = gc.log_frbl_ratio(datum, tup)
-        # a finite log ratio beyond exp's range is still an answer: ratio null
-        with np.errstate(over="ignore"):
-            ratio = float(np.exp(log_ratio))
-        _emit({"ratio": ratio, "log_ratio": log_ratio}, args.out)
+        _emit({"ratio": gc._ratio(log_ratio), "log_ratio": log_ratio}, args.out)
         return EXIT_OK
 
     if args.op == "extremizer":
@@ -235,6 +238,8 @@ def _cmd_gaussian(args) -> int:
 
 
 def _cmd_flow_verify(args) -> int:
+    from . import heatflow as hf
+
     datum = _load_datum(args.datum)
     f_grids, g_grids = _load_grids(args.grids, need_f=True)
     times = _parse_numbers(args.times, "--times")
@@ -259,6 +264,8 @@ def _cmd_flow_verify(args) -> int:
 
 
 def _cmd_flow_monotone(args) -> int:
+    from . import heatflow as hf
+
     datum = _load_datum(args.datum)
     _, g_grids = _load_grids(args.grids, need_f=False)
     times = _parse_numbers(args.times, "--times")
@@ -309,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tuple")
     p.add_argument("--op", choices=("relation", "ratio", "extremizer", "geometrize"),
                    required=True)
-    p.add_argument("--tol", type=float, default=gc.DEFAULT_RELATION_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_RELATION_TOL)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled comparison family (non-geometric extremizer runs)")
     p.add_argument("--samples", type=int, default=64,
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("datum")
     p.add_argument("grids", help='JSON file {"f": [grid...], "g": [grid...]}')
     p.add_argument("--times", default="0.1,0.5,1")
-    p.add_argument("--tol", type=float, default=hf.DEFAULT_DEFECT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_DEFECT_TOL)
     p.add_argument("--shift", type=float, default=0.0,
                    help="constant added to the g side before exponentiation")
     p.add_argument("--out", default=None, help="defect CSV (stdout by default)")

@@ -20,7 +20,8 @@ import numpy as np
 
 from .datum import EquivalenceTransform, FrblDatum, _numbers, apply_equivalence, embed_blockdiag
 from .geometry import GeometricCertificate, _form_gap, _pullback, check_geometric
-from .linalg import SymMatrix, _eig_map, _heat_weight, _require_pd, mirror_upper
+from .linalg import (DEFAULT_RELATION_TOL, SymMatrix, _eig_map, _heat_weight, _require_pd,
+                     mirror_upper)
 
 __all__ = [
     "CenteredGaussian",
@@ -44,7 +45,6 @@ __all__ = [
     "tuple_to_json",
 ]
 
-DEFAULT_RELATION_TOL = 1e-9
 # members of a sampled comparison family drawn and evaluated at once, so
 # memory stays bounded whatever the family size
 FAMILY_BLOCK = 1024
@@ -306,6 +306,15 @@ def log_frbl_ratio(datum: FrblDatum, tup: GaussianTuple) -> float:
     return float(_log_ratios(datum, *_unstacked(tup)))
 
 
+def _ratio(log_ratio: float) -> float:
+    """``exp(log_ratio)``, infinite where a finite log ratio passes the double
+    range (reports print it as null)."""
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ExtremizerVerdict:
     is_extremizer: bool
@@ -344,7 +353,7 @@ def extremizer_check(
         )
     own = log_frbl_ratio(datum, tup)
     if check_geometric(datum).verdict == "geometric":
-        return ExtremizerVerdict(abs(own) <= tol, math.exp(own), own, 0.0, "geometric-constant")
+        return ExtremizerVerdict(abs(own) <= tol, _ratio(own), own, 0.0, "geometric-constant")
     best, members = own, 0
     for fam in comparison:
         fam.check_layout(datum)
@@ -358,7 +367,7 @@ def extremizer_check(
         raise ValueError(
             "datum is not certified geometric; supply a comparison family of tuples"
         )
-    return ExtremizerVerdict(own >= best - tol, math.exp(own), own, best, "comparison-family")
+    return ExtremizerVerdict(own >= best - tol, _ratio(own), own, best, "comparison-family")
 
 
 def geometrize_from_extremizers(
@@ -431,10 +440,25 @@ def sample_families(
     most :data:`FAMILY_BLOCK` members in draw order.
 
     The draws are those of ``count`` calls of :func:`random_admissible_tuple`
-    with the same generator, whatever the block size.
+    with the same generator, whatever the block size.  Each tuple is, bit for
+    bit, the one drawn factor by factor with ``Generator.normal`` and
+    ``Generator.uniform`` in the order :func:`_sample_family` reads the
+    stream, so a seed keeps its tuples.
     """
     for start in range(0, count, FAMILY_BLOCK):
         yield _sample_family(datum, rng, min(FAMILY_BLOCK, count - start))
+
+
+def _normal(scale: float, z):
+    """``Generator.normal(scale=scale)`` of the standard normals ``z`` drawn in
+    its place: numpy's formula ``loc + scale * z``, bit for bit."""
+    return 0.0 + scale * z
+
+
+def _uniform(low: float, high: float, u):
+    """``Generator.uniform(low, high)`` of the ``random()`` draws ``u`` made in
+    its place: numpy's formula ``low + (high - low) * u``, bit for bit."""
+    return low + (high - low) * u
 
 
 def _sample_family(datum: FrblDatum, rng: np.random.Generator, count: int) -> GaussianFamily:
@@ -446,29 +470,42 @@ def _sample_family(datum: FrblDatum, rng: np.random.Generator, count: int) -> Ga
     which dominates the pullback in the Loewner order, plus a positive
     definite cushion.  Prefactors are split so the weighted g side wins by a
     positive margin.  The loop over samples only draws, in a fixed order per
-    sample; the arithmetic runs on the whole stack.  Every form is then
+    sample: one ``standard_normal`` for the g raw forms and g log
+    prefactors, ``random()`` for the cushion, one ``standard_normal`` and one
+    ``random()`` per input factor, one ``standard_normal`` for the margin and
+    one ``random`` for the weights, ``2k + 4`` plain calls that read the
+    stream as the ``normal(scale=...)`` and ``uniform(a, b)`` draws they
+    stand for.  The arithmetic runs on the whole stack, numpy's formulas of
+    those two (:func:`_normal`, :func:`_uniform`) first.  Every form is then
     mirrored from its upper triangle, which drops the rounding asymmetry of
     the pullback, and every entry and log prefactor is checked finite.
     """
     layout = datum.layout
     k = layout.k
-    g_raw = [np.empty((count, n, n)) for n in layout.out_dims]
+    g_sizes = [n * n for n in layout.out_dims]
+    # per member, the g raw forms then the g log prefactors as one run
+    g_draws = np.empty((count, sum(g_sizes) + layout.m))
     f_raw = [np.empty((count, n, n)) for n in layout.in_dims]
-    g_prefs = np.empty((count, layout.m))
-    f_scale = np.empty((count, k))
     cushion = np.empty(count)
+    f_scale = np.empty((count, k))
     margin = np.empty(count)
     weights = np.empty((count, k))
+    standard_normal, random = rng.standard_normal, rng.random
     for s in range(count):
-        for raw in g_raw:
-            rng.standard_normal(out=raw[s])
-        g_prefs[s] = rng.normal(scale=0.5, size=layout.m)
-        cushion[s] = rng.uniform(0.05, 0.5)
+        standard_normal(out=g_draws[s])
+        cushion[s] = random()
         for i, raw in enumerate(f_raw):
-            rng.standard_normal(out=raw[s])
-            f_scale[s, i] = rng.uniform(0.0, 0.5)
-        margin[s] = rng.normal(scale=0.3)
-        weights[s] = rng.uniform(0.2, 1.0, size=k)
+            standard_normal(out=raw[s])
+            f_scale[s, i] = random()
+        margin[s] = standard_normal()
+        random(out=weights[s])
+    *g_flat, g_prefs = np.split(g_draws, np.cumsum(g_sizes), axis=1)
+    g_raw = [flat.reshape(count, n, n) for flat, n in zip(g_flat, layout.out_dims)]
+    g_prefs = _normal(0.5, g_prefs)
+    cushion = _uniform(0.05, 0.5, cushion)
+    f_scale = _uniform(0.0, 0.5, f_scale)
+    margin = _normal(0.3, margin)
+    weights = _uniform(0.2, 1.0, weights)
 
     def diagonals(stack: np.ndarray) -> np.ndarray:
         """A writable ``(count, n)`` view of the diagonals of a fresh stack."""

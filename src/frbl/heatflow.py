@@ -25,7 +25,7 @@ from operator import imul
 import numpy as np
 
 from .datum import FrblDatum, _numbers
-from .linalg import _heat_weight
+from .linalg import DEFAULT_DEFECT_TOL, _heat_weight
 
 __all__ = [
     "DefectField",
@@ -39,8 +39,6 @@ __all__ = [
     "monotone_functional",
     "verify_preservation",
 ]
-
-DEFAULT_DEFECT_TOL = 1e-4
 
 # Kernel support is cut at this many standard deviations; the discarded mass
 # is far below the quadrature error.

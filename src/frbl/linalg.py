@@ -21,6 +21,11 @@ __all__ = [
 # Absolute tolerance on the minimum eigenvalue for Loewner-order checks when
 # the caller does not pin one explicitly.
 DEFAULT_LOEWNER_TOL = 1e-9
+# The default tolerances of the Gaussian relation and of the flow scan's
+# defect, here so the command line reads them without importing
+# ``gaussian`` or ``heatflow``.
+DEFAULT_RELATION_TOL = 1e-9
+DEFAULT_DEFECT_TOL = 1e-4
 
 # The eigenvalue a Gaussian form or heat weight must exceed to count as positive definite.
 PD_TOL = 1e-12

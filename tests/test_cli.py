@@ -988,6 +988,39 @@ class TestContract:
         assert report["ratio"] is None and report["log_ratio"] == pytest.approx(1000.0)
         assert captured.err == ""
 
+    @pytest.mark.parametrize("op", ["ratio", "extremizer"])
+    def test_both_ops_print_a_ratio_beyond_exp_range_as_null(self, op, tmp_path, capsys):
+        # relation holds; log ratio 716.10 is finite, its exp is not
+        datum, tup = tmp_path / "tiny.json", tmp_path / "wide.json"
+        datum.write_text(json.dumps({"in_dims": [2], "out_dims": [2], "c": [1], "d": [1],
+                                     "Q": [[1e-160, 0], [0, 1e-160]]}))
+        f, g = ({"form": [[a, 0], [0, a]], "log_prefactor": 0} for a in (1e-11, 1e300))
+        tup.write_text(json.dumps({"f": [f], "g": [g]}))
+        assert main(["gaussian", str(datum), str(tup), "--op", "relation"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gaussian", str(datum), str(tup), "--op", op])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out, parse_constant=_reject_constant)
+        assert report["ratio"] is None and report["log_ratio"] == pytest.approx(716.10, abs=0.01)
+        assert code == (0 if report.get("is_extremizer", True) else 1)
+        assert captured.err == ""
+
+    def test_commands_import_only_the_modules_they_use(self, pl_file, standard_tuple_file):
+        code = (
+            "import sys, contextlib, io\n"
+            "from frbl.cli import main\n"
+            f"for argv in (['check', {pl_file!r}],\n"
+            f"             ['gaussian', {pl_file!r}, {standard_tuple_file!r}, '--op', 'relation']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(sorted(m for m in ('frbl.gaussian', 'frbl.heatflow') if m in sys.modules))\n"
+        )
+        done = _run_fresh(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "['frbl.gaussian']"]
+
     def test_certification_imports_no_scipy(self, pl_file, tmp_path):
         # scipy would add to every start-up of these commands
         code = (

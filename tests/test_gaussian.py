@@ -619,6 +619,22 @@ def _one_dim_tuple(f_form, g_form, f_pref=0.0):
     )
 
 
+class _CallLog:
+    """A generator that logs the name of each method call it passes on."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def logged(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return logged
+
+
 class TestStackedFamily:
     """The stacked sampler and kernels against the one-tuple-at-a-time
     reference in ``_oracles``, bit for bit."""
@@ -642,6 +658,34 @@ class TestStackedFamily:
         for got, (want_form, want_pref) in zip(tup.f + tup.g, f + g, strict=True):
             assert got.form.mat.tobytes() == want_form.tobytes()
             assert got.log_prefactor == want_pref
+
+    @pytest.mark.parametrize("low, high", [(0.05, 0.5), (0.0, 0.5), (0.2, 1.0)])
+    def test_uniform_is_numpys_formula(self, low, high):
+        # the sampler draws random() where its reference draws uniform(low, high)
+        want, got = np.random.default_rng(11), np.random.default_rng(11)
+        assert gaussian._uniform(low, high, got.random(4096)).tobytes() == \
+            want.uniform(low, high, size=4096).tobytes()
+        assert gaussian._uniform(low, high, got.random()) == want.uniform(low, high)
+
+    @pytest.mark.parametrize("scale", [0.5, 0.3])
+    def test_normal_is_numpys_formula(self, scale):
+        # the sampler draws standard_normal where its reference draws normal(scale=scale)
+        want, got = np.random.default_rng(11), np.random.default_rng(11)
+        assert gaussian._normal(scale, got.standard_normal(4096)).tobytes() == \
+            want.normal(scale=scale, size=4096).tobytes()
+        assert gaussian._normal(scale, got.standard_normal()) == want.normal(scale=scale)
+
+    @pytest.mark.parametrize("layout", sorted(_family_layouts()))
+    def test_each_member_makes_two_k_plus_four_plain_calls(self, layout):
+        datum = _family_layouts()[layout]
+        spy = _CallLog(np.random.default_rng(4))
+        (fam,) = sample_families(datum, spy, 9)
+        # per member: the g run, the cushion, k (form, scale) pairs, the margin, the weights
+        assert spy.calls == ["standard_normal", "random"] * (9 * (datum.layout.k + 2))
+        (want,) = sample_families(datum, np.random.default_rng(4), 9)
+        for got, ref in zip(fam.f_forms + fam.g_forms + (fam.f_prefs, fam.g_prefs),
+                            want.f_forms + want.g_forms + (want.f_prefs, want.g_prefs)):
+            assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("layout", sorted(_family_layouts()))
     def test_kernels_match_reference(self, layout):
