@@ -255,7 +255,8 @@ def _cmd_flow_verify(args) -> int:
             os.makedirs(args.fields_dir, exist_ok=True)
         for t, data in zip(field.times, field.fields):
             rows = [[*field.columns("x"), "defect"]] + data.tolist()
-            _write_csv(rows, os.path.join(args.fields_dir, f"defect_t{t:g}.csv"))
+            name = f"{t:g}" if float(f"{t:g}") == t else repr(t)  # one file per distinct time
+            _write_csv(rows, os.path.join(args.fields_dir, f"defect_t{name}.csv"))
     _write_csv(field.csv_rows(), args.out)
     print(f"verdict: {'holds' if field.holds else 'fails'} (tol={args.tol}, "
           f"nodes={field.nodes_evaluated} of {math.prod(fg.values.size for fg in f_grids)})",

@@ -205,18 +205,10 @@ class FrblDatum:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def k(self) -> int:
-        return self.layout.k
-
-    @property
-    def m(self) -> int:
-        return self.layout.m
-
     def out_row(self, j: int) -> np.ndarray:
         """The full row band of ``Q`` landing in output factor ``j``."""
-        if not 0 <= j < self.m:
-            raise IndexError(f"output factor index {j} out of range [0, {self.m})")
+        if not 0 <= j < self.layout.m:
+            raise IndexError(f"output factor index {j} out of range [0, {self.layout.m})")
         return self.q[self.layout.out_slice(j), :].copy()
 
 

@@ -20,13 +20,11 @@ import numpy as np
 
 from .datum import EquivalenceTransform, FrblDatum, _numbers, apply_equivalence, embed_blockdiag
 from .geometry import GeometricCertificate, _form_gap, _pullback, check_geometric
-from .linalg import (DEFAULT_RELATION_TOL, SymMatrix, _eig_map, _heat_weight, _require_pd,
-                     mirror_upper)
+from .linalg import DEFAULT_RELATION_TOL, SymMatrix, _heat_weight, _require_pd, mirror_upper
 
 __all__ = [
     "CenteredGaussian",
     "ExtremizerVerdict",
-    "FAMILY_BLOCK",
     "GaussianFamily",
     "GaussianTuple",
     "RelationResult",
@@ -115,7 +113,7 @@ def _flow(mu: np.ndarray, m: np.ndarray, t: float) -> tuple:
     return (m * nu[..., None, :]) @ m.swapaxes(-1, -2), np.log1p(spread).sum(axis=-1), nu
 
 
-def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None) -> CenteredGaussian:
+def heat_evolve(g: CenteredGaussian, t: float, a_weight=None) -> CenteredGaussian:
     """Evolve a Gaussian for time ``t`` under the weighted Laplacian with
     positive definite weight ``a_weight`` (identity when omitted).
 
@@ -131,7 +129,7 @@ def heat_evolve(g: CenteredGaussian, t: float, a_weight: SymMatrix | None = None
         return evolve_tuple(GaussianTuple((g,), ()), t).f[0]
     if not t > 0:
         raise ValueError(f"evolution time must be positive, got {t}")
-    w, v = _heat_weight(a_weight, g.space_dim, "Gaussian")
+    _, w, v = _heat_weight(a_weight, g.space_dim, "heat weight")
     sqrt_w = np.sqrt(w)
     root = (v * sqrt_w) @ v.T
     mu, u = np.linalg.eigh(root @ g.form.mat @ root)
@@ -377,33 +375,31 @@ def geometrize_from_extremizers(
     certify the transformed datum.
 
     Input weights ``A_i`` give blocks ``C_i = A_i^{-1/2}``; output weights
-    ``A^j`` give ``D_j = (A^j)^{1/2}``.  The transformed datum is checked
-    with :func:`check_geometric`; nothing guarantees a geometric outcome for
+    ``A^j`` give ``D_j = (A^j)^{1/2}``; each is read as :func:`heat_evolve`
+    reads a weight, a bad one named ``input weight i`` or ``output weight j``
+    in the ``ValueError``.  The transformed datum is checked with
+    :func:`check_geometric`; nothing guarantees a geometric outcome for
     arbitrary weights, the certificate is the verdict.
     """
-    ins = [np.array(m, dtype=float) for m in in_weights]
-    outs = [np.array(m, dtype=float) for m in out_weights]
-    datum.layout.check_shapes("heat weights", [m.shape for m in ins], [m.shape for m in outs])
+    layout = datum.layout
+    layout.check_shapes("heat weights", [np.shape(m) for m in in_weights],
+                        [np.shape(m) for m in out_weights])
 
-    def power(m: np.ndarray, root_fn, what: str) -> np.ndarray:
-        """``root_fn`` of the positive definite weight read from the upper
-        triangle of ``m``, exactly symmetric."""
-        def fn(w: np.ndarray) -> np.ndarray:
-            _require_pd(float(w[0]), what)
-            return root_fn(w)
-
-        return mirror_upper(_eig_map(mirror_upper(m), fn))
+    def blocks(weights, dims, side: str, root_fn) -> tuple[np.ndarray, ...]:
+        spectra = (_heat_weight(m, n, f"{side} weight {i}")[1:]
+                   for i, (m, n) in enumerate(zip(weights, dims)))
+        return tuple(mirror_upper((v * root_fn(w)) @ v.T) for w, v in spectra)
 
     transform = EquivalenceTransform(
-        tuple(power(m, lambda w: 1.0 / np.sqrt(w), f"input weight {i}") for i, m in enumerate(ins)),
-        tuple(power(m, np.sqrt, f"output weight {j}") for j, m in enumerate(outs)),
+        blocks(in_weights, layout.in_dims, "input", lambda w: 1.0 / np.sqrt(w)),
+        blocks(out_weights, layout.out_dims, "output", np.sqrt),
     )
     transformed = apply_equivalence(datum, transform)
     certificate = check_geometric(transformed)
     return transform, transformed, certificate
 
 
-def long_time_limit(g: CenteredGaussian, a_weight: SymMatrix, x) -> float:
+def long_time_limit(g: CenteredGaussian, a_weight, x) -> float:
     """Closed-form long-time value of the rescaled heat evolution.
 
     Equals ``det(W)^{-1/2} exp(-<inv(W) x, x>) * integral(g)`` for weight
@@ -411,12 +407,12 @@ def long_time_limit(g: CenteredGaussian, a_weight: SymMatrix, x) -> float:
     ``t -> infinity`` limit this is.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    w, v = _heat_weight(a_weight, g.space_dim, "Gaussian")
+    _, w, v = _heat_weight(a_weight, g.space_dim, "heat weight")
     y = v.T @ x  # x in the eigenbasis of W, where inv(W) is diagonal
     return math.exp(-0.5 * float(np.log(w).sum()) - float(y @ (y / w)) + log_gaussian_integral(g))
 
 
-def rescaled_heat_value(g: CenteredGaussian, a_weight: SymMatrix, x, t: float) -> float:
+def rescaled_heat_value(g: CenteredGaussian, a_weight, x, t: float) -> float:
     """``(4 pi t)^{n/2} * (evolved g)(2 sqrt(t) x)`` at finite ``t``, in log space."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     evolved = heat_evolve(g, t, a_weight)

@@ -291,7 +291,6 @@ class GeometricCertificate:
 
     # "geometric" | "not-geometric-loewner" | "not-geometric-sigma" | "sigma-not-found"
     verdict: str
-    loewner_ok: bool
     loewner_min_eig: float
     sigma: SymMatrix | None
     sigma_min_eig: float
@@ -330,15 +329,14 @@ def check_geometric(
     """
     loewner_ok, min_eig = check_loewner(datum, tol)
     if not loewner_ok:
-        return GeometricCertificate("not-geometric-loewner", False, min_eig, None,
+        return GeometricCertificate("not-geometric-loewner", min_eig, None,
                                     math.nan, math.nan, math.nan, 0)
     search = find_sigma(datum, tol, max_iter)
     verdict = {"found": "geometric", "infeasible": "not-geometric-sigma"}.get(
         search.status, "sigma-not-found")
     # every field of the search but its status carries over under its own name
     shared = {f.name: getattr(search, f.name) for f in fields(search) if f.name != "status"}
-    return GeometricCertificate(verdict=verdict, loewner_ok=True, loewner_min_eig=min_eig,
-                                **shared)
+    return GeometricCertificate(verdict=verdict, loewner_min_eig=min_eig, **shared)
 
 
 class AdjointContractionResult(NamedTuple):
@@ -377,14 +375,6 @@ class TraceImplicationResult:
     lhs_trace: float
     rhs_trace: float
 
-    @property
-    def verdict(self) -> str:
-        if not self.hypothesis_holds:
-            return "hypothesis-not-met"
-        if self.conclusion_holds:
-            return "hypothesis-holds, conclusion-holds"
-        return "hypothesis-holds, conclusion-fails"
-
 
 def verify_trace_implication(
     datum: FrblDatum,
@@ -398,7 +388,7 @@ def verify_trace_implication(
     Hypothesis: ``blockdiag(c_i X_i) <= Q^T blockdiag(d_j Y_j) Q`` in the
     Loewner order (within ``tol``).  When it holds, the weighted trace
     inequality ``sum c_i tr(X_i) <= sum d_j tr(Y_j)`` is evaluated with a
-    scaled slack; when it fails the result is ``hypothesis-not-met`` and no
+    scaled slack; when it fails ``conclusion_holds`` is ``None`` and no
     claim is made.  ``sigma`` must be a marginal certificate for the datum
     (that is what makes the implication valid), which is enforced here.
     """

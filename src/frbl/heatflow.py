@@ -264,7 +264,7 @@ def _convolve_axis(x: np.ndarray, kernel: np.ndarray, ax: int) -> np.ndarray:
 
 def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
     """Evolve grid samples for time ``t`` under the weighted Laplacian with
-    positive definite ``SymMatrix`` weight ``a_weight`` (identity when omitted).
+    positive definite weight ``a_weight``, any square array-like (identity when omitted).
 
     The kernel is ``exp(-z^T W^{-1} z / (4 t))`` at the grid offsets ``z``,
     truncated at ``8 * sqrt(2 t lambda_max(W))`` per axis and divided by the
@@ -289,7 +289,8 @@ def heat_step(f: GridFunction, t: float, a_weight=None) -> GridFunction:
     if a_weight is None:
         w, lam_max = np.eye(f.dim), 1.0
     else:
-        w, lam_max = a_weight.mat, _heat_weight(a_weight, f.dim, "grid")[0][-1]
+        w, lam, _ = _heat_weight(a_weight, f.dim, "heat weight")
+        lam_max = lam[-1]
     r_cut = KERNEL_CUT_SIGMAS * math.sqrt(2.0 * t * lam_max)
     extent = max(b - a for a, b in zip(f.lo, f.hi))
     if r_cut > 10.0 * extent:

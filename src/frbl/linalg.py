@@ -92,20 +92,23 @@ def _require_pd(min_eig: float, what: str) -> None:
         raise ValueError(f"{what} must be positive definite (min eigenvalue {min_eig:.3e})")
 
 
-def _heat_weight(a_weight: SymMatrix, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a heat weight for a ``dim``-dimensional ``what``, which
-    must match that dimension and be positive definite."""
-    if a_weight.dim != dim:
-        raise ValueError(f"weight dim {a_weight.dim} does not match {what} dim {dim}")
-    w, v = np.linalg.eigh(a_weight.mat)
-    _require_pd(float(w[0]), "heat weight")
-    return w, v
+def _heat_weight(a_weight, dim: int, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A heat weight, any square array-like read as :class:`SymMatrix` reads
+    it, as a fresh matrix with its ``eigh``; one that is not finite, ``dim``
+    by ``dim`` and positive definite raises ``ValueError`` naming it ``what``."""
+    m = np.array(a_weight, dtype=float, order="C")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
+        raise ValueError(f"{what} must be a square matrix of finite numbers, got shape {m.shape}")
+    if len(m) != dim:
+        raise ValueError(f"{what} dim {len(m)} does not match the space's dim {dim}")
+    w, v = np.linalg.eigh(mirror_upper(m))
+    _require_pd(float(w[0]), what)
+    return m, w, v
 
 
 def _eig_map(m: np.ndarray, fn) -> np.ndarray:
-    """The matrix function ``V diag(fn(w)) V^T`` of the symmetric ``m =
-    V diag(w) V^T``, from one ``eigh``; ``fn`` maps the ascending
-    eigenvalues and may raise on them."""
+    """The matrix function ``V diag(fn(w)) V^T`` of the symmetric
+    ``m = V diag(w) V^T``, from one ``eigh``."""
     w, v = np.linalg.eigh(m)
     return (v * fn(w)) @ v.T
 

@@ -9,8 +9,10 @@ the whole node set at once (it shares only the heat step with the
 library), and the sigma constraints built entry by entry, which re-check
 a separator from the datum alone, and the Gaussian tuple sampler,
 relation check and ratio one tuple and one factor at a time, the
-reference for the stacked families, and the identity heat flow of one
-Gaussian from its own ``eigh``, the reference for the stacked tuple flow.
+reference for the stacked families, the identity heat flow of one
+Gaussian from its own ``eigh``, the reference for the stacked tuple flow,
+and geometrization's blocks from one weight at a time, the reference for
+the one heat-weight reader.
 Three builders of test inputs come
 last: a grid sampled from a function, the unit-form Gaussian and a family
 stacked from loose tuples.
@@ -344,6 +346,20 @@ def identity_flow(g: CenteredGaussian, t: float) -> tuple[np.ndarray, float]:
     spread = 4.0 * t * mu
     return (_mirrored((m * (mu / (1.0 + spread))) @ m.T),
             g.log_prefactor - 0.5 * float(np.log1p(spread).sum()))
+
+
+def geometrize_blocks(in_weights, out_weights) -> tuple[list, list]:
+    """The blocks ``A_i^{-1/2}`` and ``(A^j)^{1/2}`` that geometrization
+    builds from heat weights, one weight at a time: the weight mirrored from
+    its upper triangle, its own ``eigh`` (positive definite past 1e-12), the
+    root of each eigenvalue mapped back, and the result mirrored again."""
+    def root(m, fn) -> np.ndarray:
+        w, v = np.linalg.eigh(_mirrored(m))
+        assert w[0] > 1e-12
+        return _mirrored((v * fn(w)) @ v.T)
+
+    return ([root(m, lambda w: 1.0 / np.sqrt(w)) for m in in_weights],
+            [root(m, np.sqrt) for m in out_weights])
 
 
 def sample_grid(fn, lo, hi, n) -> GridFunction:

@@ -96,7 +96,7 @@ class TestGen:
         datum = validate_datum(json.loads(open(out).read()))
         assert main(["check", out]) == 0
         capsys.readouterr()
-        assert datum.k >= 1
+        assert datum.layout.k >= 1
 
     def test_custom_roundtrip(self, tmp_path, pl_file, capsys):
         out = str(tmp_path / "copy.json")
@@ -446,6 +446,24 @@ class TestFlow:
         rows = list(csv.reader(open(written[0])))
         assert rows[0] == ["x1", "x2", "defect"]
         capsys.readouterr()
+
+    def test_fields_dir_writes_one_file_per_time(self, pl_file, tmp_path, capsys):
+        # "{:g}" prints both times as 0.1; the second is named by its repr
+        grids, fields, times = grids_file(tmp_path), tmp_path / "fields", (0.1, 0.1000001)
+        assert main(["flow-verify", pl_file, grids, "--times", "0.1,0.1000001",
+                     "--out", str(tmp_path / "d.csv"), "--fields-dir", str(fields)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in fields.iterdir()) == [f"defect_t{t!r}.csv" for t in times]
+        with open(grids) as fh:
+            obj = json.load(fh)
+        f_grids, g_grids = ([heatflow.grid_from_json(g) for g in obj[side]] for side in "fg")
+        written = []
+        for t in times:
+            want = heatflow.verify_preservation(prekopa_leindler(0.5), f_grids, g_grids, [t],
+                                                collect_fields=True).fields[0]
+            written.append(np.loadtxt(fields / f"defect_t{t!r}.csv", delimiter=",", skiprows=1))
+            assert np.array_equal(written[-1], want)
+        assert not np.array_equal(*written)
 
     def test_verify_without_times_writes_header_only(self, pl_file, tmp_path, capsys):
         fields = tmp_path / "fields"

@@ -35,7 +35,7 @@ def pl_json(lam=1 / 3, d=1.0):
 class TestValidation:
     def test_prekopa_leindler_valid(self):
         datum = validate_datum(pl_json())
-        assert datum.k == 2 and datum.m == 1
+        assert datum.layout.k == 2 and datum.layout.m == 1
         np.testing.assert_array_equal(datum.q, [[1 / 3, 1 - 1 / 3]])
 
     def test_scaling_violation_named(self):
@@ -90,7 +90,7 @@ class TestValidation:
 class TestBlocks:
     def test_reassembly_is_exact(self):
         for datum in (validate_datum(pl_json()), young_frame(), loomis_whitney_2d()):
-            rebuilt = np.vstack([datum.out_row(j) for j in range(datum.m)])
+            rebuilt = np.vstack([datum.out_row(j) for j in range(datum.layout.m)])
             assert np.array_equal(rebuilt, datum.q)
 
     def test_index_out_of_range(self):

@@ -28,18 +28,21 @@ from frbl.gaussian import (
     tuple_to_json,
 )
 from frbl.geometry import check_geometric, check_loewner
+from frbl.heatflow import heat_step
 from frbl.instances import loomis_whitney_2d, prekopa_leindler, young_frame
 from frbl.linalg import SymMatrix
 
 from _oracles import (
     admissible_tuple,
     eig2x2,
+    geometrize_blocks,
     heat_quadrature_1d,
     identity_flow,
     heat_quadrature_2d,
     log_ratio,
     random_psd,
     relation_gaps,
+    sample_grid,
     stack_family,
     standard_gaussian,
 )
@@ -417,6 +420,73 @@ class TestLongTime:
         g = CenteredGaussian(SymMatrix(np.eye(2)))
         with pytest.raises(ValueError, match="does not match"):
             long_time_limit(g, SymMatrix([[2.0]]), [0.5])
+
+
+WEIGHT = np.array([[1.3, 0.4], [0.4, 0.9]])  # positive definite, not diagonal
+G2 = CenteredGaussian(SymMatrix([[0.8, -0.2], [-0.2, 1.1]]), 0.3)
+GRID2 = sample_grid(lambda p: np.exp(-(p**2).sum(axis=1)), [-3.0, -3.0], [3.0, 3.0], [31, 31])
+
+
+def _geometrized(w) -> list:
+    transform, transformed, cert = geometrize_from_extremizers(
+        young_frame(), [w], [[[0.7]], [[1.3]], [[2.0]]])
+    return [*transform.c_blocks, *transform.d_blocks, transformed.q, cert.loewner_min_eig,
+            cert.verdict]
+
+
+# each entry point that takes a heat weight, as the values it computes from one
+WEIGHT_ENTRY_POINTS = {
+    "heat_step": lambda w: [heat_step(GRID2, 0.05, w).values],
+    "heat_evolve": lambda w: [(e := heat_evolve(G2, 0.7, w)).form.mat, e.log_prefactor],
+    "evolve_tuple": lambda w: [x.form.mat for x in evolve_tuple(
+        GaussianTuple((G2,), (standard_gaussian(1),) * 3), 0.7, [w]).f],
+    "long_time_limit": lambda w: [long_time_limit(G2, w, [0.3, -0.5])],
+    "rescaled_heat_value": lambda w: [rescaled_heat_value(G2, w, [0.3, -0.5], 2.0)],
+    "geometrize_from_extremizers": _geometrized,
+}
+
+
+def _bits(values: list) -> list:
+    return [v if isinstance(v, str) else np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+class TestHeatWeights:
+    """Every heat-weight entry point reads a weight by one rule: a
+    ``SymMatrix`` or any square array-like, its upper triangle mirrored."""
+
+    @pytest.mark.parametrize("name", WEIGHT_ENTRY_POINTS)
+    def test_every_form_of_a_weight_gives_the_same_bits(self, name):
+        call = WEIGHT_ENTRY_POINTS[name]
+        want = _bits(call(SymMatrix(WEIGHT)))
+        lower_ignored = np.triu(WEIGHT) + np.tril(np.full((2, 2), 7.0), -1)
+        for form in (WEIGHT, WEIGHT.tolist(), lower_ignored):
+            assert _bits(call(form)) == want
+
+    @pytest.mark.parametrize("name", WEIGHT_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)), [[1.0, math.nan], [0.0, 1.0]], np.eye(3),
+                                     [[1.0, 0.0], [0.0, -1.0]]],
+                             ids=["not-square", "not-finite", "wrong-size", "not-pd"])
+    def test_a_bad_weight_raises_a_value_error_naming_it(self, name, bad):
+        with pytest.raises(ValueError, match="(heat|input) weight"):
+            WEIGHT_ENTRY_POINTS[name](bad)
+
+    @pytest.mark.parametrize("datum", [
+        young_frame(), prekopa_leindler(0.5), loomis_whitney_2d(),
+        make_datum((3,), (2, 1), (1.0,), (1.0, 1.0), np.eye(3))])
+    def test_geometrize_blocks_match_the_reference(self, datum):
+        rng = np.random.default_rng(71)
+        layout = datum.layout
+
+        def weights(dims):
+            # random lower triangles, which both readers overwrite
+            return [random_psd(rng, n, 0.1) + np.tril(rng.standard_normal((n, n)), -1)
+                    for n in dims]
+
+        for _ in range(50):
+            ins, outs = weights(layout.in_dims), weights(layout.out_dims)
+            transform, _, _ = geometrize_from_extremizers(datum, ins, outs)
+            want_c, want_d = geometrize_blocks(ins, outs)
+            assert _bits([*transform.c_blocks, *transform.d_blocks]) == _bits([*want_c, *want_d])
 
 
 class TestTupleHelpers:

@@ -399,7 +399,7 @@ class TestCheckGeometric:
         ):
             cert = check_geometric(datum)
             assert cert.verdict == "geometric"
-            assert cert.loewner_ok
+            assert cert.loewner_min_eig >= -1e-8
             assert max(cert.residual_in, cert.residual_out) <= 1e-8
             assert cert.sigma_min_eig >= -1e-8
             r_in, r_out = marginal_residuals(datum, cert.sigma.mat)
@@ -412,7 +412,7 @@ class TestCheckGeometric:
     def test_negative_control_verdict(self):
         cert = check_geometric(negative_control())
         assert cert.verdict == "not-geometric-loewner"
-        assert not cert.loewner_ok
+        assert cert.loewner_min_eig < -1e-8
 
     def test_loewner_failure_skips_search(self):
         # the slow datum fails Loewner; its search would need 443 iterations
@@ -425,7 +425,7 @@ class TestCheckGeometric:
     def test_separator_verdict(self):
         datum = hard_case()
         cert = check_geometric(datum)
-        assert cert.loewner_ok
+        assert cert.loewner_min_eig >= -1e-8
         assert cert.verdict == "not-geometric-sigma"
         assert cert.reason == "separator"
         obj = cert.to_json()
@@ -435,7 +435,7 @@ class TestCheckGeometric:
     def test_loewner_ok_but_sigma_missing(self):
         datum = make_datum((1,), (1,), (1.0,), (1.0,), [[0.5]])
         cert = check_geometric(datum)
-        assert cert.loewner_ok
+        assert cert.loewner_min_eig >= -1e-8
         assert cert.verdict == "sigma-not-found"
         assert cert.reason == "affine-infeasible"
 
@@ -489,7 +489,7 @@ class TestTraceImplication:
         res = verify_trace_implication(
             datum, [np.zeros((2, 2))], [np.zeros((1, 1))] * 3, cert.sigma
         )
-        assert res.verdict == "hypothesis-holds, conclusion-holds"
+        assert res.hypothesis_holds and res.conclusion_holds
         assert res.lhs_trace == 0.0 and res.rhs_trace == 0.0
 
     def test_young_equality_case(self):
@@ -509,7 +509,7 @@ class TestTraceImplication:
         res = verify_trace_implication(
             datum, [2.0 * np.eye(2)], [np.eye(1)] * 3, cert.sigma
         )
-        assert res.verdict == "hypothesis-not-met"
+        assert not res.hypothesis_holds
         assert res.conclusion_holds is None
 
     def test_bad_sigma_rejected(self):

@@ -59,6 +59,17 @@ UNUSED_EXPORTS = {
 # ``src/frbl`` or ``perfbench/`` reads, each kept for the reason given.
 UNUSED_METHODS: dict[str, str] = {}
 
+# Public fields of exported dataclasses and NamedTuples that nothing in
+# ``src/frbl`` or ``perfbench/`` reads and no report writes, each kept for
+# the reason given.
+UNUSED_FIELDS = {
+    **{f"AdjointContractionResult.{name}": LEMMA for name in ("lhs", "rhs")},
+    **{f"TraceImplicationResult.{name}": LEMMA
+       for name in ("hypothesis_holds", "hypothesis_min_eig", "conclusion_holds", "lhs_trace",
+                    "rhs_trace")},
+    "DefectField.thresholds": "the bound each min_defect is held to, so a verdict can be re-checked",
+}
+
 
 def test_library_imports_leave_the_environment_alone():
     """``import frbl`` loads no module of the package and not numpy; neither
@@ -147,6 +158,46 @@ def test_every_method_has_a_caller():
         and reads[fn.name] == _attribute_reads(fn)[fn.name] and fn.name not in words
     }
     assert unread == set(UNUSED_METHODS)
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A class declared ``@dataclass`` (with or without arguments) or as a ``NamedTuple``."""
+    decorators = {getattr(d, "id", None) or getattr(getattr(d, "func", None), "id", None)
+                  for d in cls.decorator_list}
+    return "dataclass" in decorators or any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases)
+
+
+def _report_keys(tree) -> set[str]:
+    """The string keys of the dict literals in ``tree`` and the key tuples
+    that it passes to ``_to_json``: the names reports are written under."""
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys |= {key.value for key in node.keys if isinstance(key, ast.Constant)}
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_to_json":
+            keys |= {e.value for arg in node.args if isinstance(arg, ast.Tuple) for e in arg.elts}
+    return keys
+
+
+def test_every_field_has_a_reader():
+    """Each public field of an exported dataclass or NamedTuple (not an
+    ``InitVar``) is read as an attribute in ``src/frbl``, is a word of
+    ``perfbench/*.py`` or a key that ``src/frbl`` writes a report under, or
+    is listed with its reason.  Like :func:`test_every_method_has_a_caller`,
+    the check goes by name."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    reads = sum(map(_attribute_reads, trees), Counter())
+    used = _perfbench_words().union(*map(_report_keys, trees))
+    unread = {
+        f"{cls.name}.{stmt.target.id}"
+        for tree in trees for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in frbl.__all__ and _is_record(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and not stmt.target.id.startswith("_") and "InitVar" not in ast.unparse(stmt.annotation)
+        and not reads[stmt.target.id] and stmt.target.id not in used
+    }
+    assert unread == set(UNUSED_FIELDS)
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
